@@ -16,21 +16,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/activation"
 	"repro/internal/bind"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/hgraph"
 	"repro/internal/lint"
 	"repro/internal/listsched"
 	"repro/internal/models"
-	"repro/internal/profiling"
+	"repro/internal/runopts"
 	"repro/internal/spec"
 )
 
@@ -72,39 +70,15 @@ func clusterString(im *core.Implementation) string {
 	return strings.Join(parts, ", ")
 }
 
-func timingPolicy(name string) bind.TimingPolicy {
-	switch name {
-	case "none":
-		return bind.TimingNone
-	case "ll", "liu-layland":
-		return bind.TimingLiuLayland
-	case "rta":
-		return bind.TimingRTA
-	default:
-		return bind.TimingPaper
-	}
-}
-
-// cliFlags carries the parsed command line for validation; explicit
-// indicates which flags the user actually set (flag.Visit), so
-// incompatible-combination checks do not misfire on defaults.
+// cliFlags carries the parsed command line for validation: the shared
+// run options plus casestudy's analysis modes.
 type cliFlags struct {
-	table1          bool
-	tradeoff        bool
-	compare         bool
-	verify          bool
-	family          bool
-	timeout         time.Duration
-	checkpoint      string
-	checkpointEvery int
-	resume          bool
-	cache           string
-	workers         int
-	batch           int
-	producers       int
-	enumerator      string
-	prof            profiling.Flags
-	explicit        map[string]bool
+	runopts.Options
+	table1   bool
+	tradeoff bool
+	compare  bool
+	verify   bool
+	family   bool
 }
 
 // modeSelected reports whether a non-default analysis mode is active
@@ -116,50 +90,13 @@ func (f *cliFlags) modeSelected() bool {
 // problems returns every reason the flag combination is rejected; a
 // non-empty result exits with status 2 before any exploration starts.
 func (f *cliFlags) problems() []string {
-	var out []string
-	if (f.checkpoint != "" || f.resume) && f.modeSelected() {
+	out := f.Problems(nil)
+	if (f.Checkpoint != "" || f.Resume) && f.modeSelected() {
 		out = append(out, "-checkpoint/-resume only apply to the default Pareto run")
 	}
-	if f.resume && f.checkpoint == "" {
-		out = append(out, "-resume requires -checkpoint")
-	}
-	if f.checkpointEvery <= 0 {
-		out = append(out, "-checkpoint-every must be > 0")
-	}
-	if f.explicit["checkpoint-every"] && f.checkpoint == "" {
-		out = append(out, "-checkpoint-every requires -checkpoint (there is no snapshot file to write)")
-	}
-	if f.timeout < 0 {
-		out = append(out, "-timeout must be >= 0")
-	}
-	if f.cache != "on" && f.cache != "off" {
-		out = append(out, "-cache must be on or off")
-	}
-	if f.workers < 0 {
-		out = append(out, "-workers must be >= 0 (0 selects GOMAXPROCS)")
-	}
-	if f.workers != 1 && f.modeSelected() {
+	if f.Workers != 1 && f.modeSelected() {
 		out = append(out, "-workers only applies to the default Pareto run")
 	}
-	if f.batch < 0 {
-		out = append(out, "-batch must be >= 0 (0 selects adaptive sizing)")
-	}
-	if f.batch != 0 && f.workers == 1 {
-		out = append(out, "-batch only applies to parallel exploration (-workers != 1)")
-	}
-	if f.producers < 0 {
-		out = append(out, "-producers must be >= 0 (0 selects the automatic producer count)")
-	}
-	if f.explicit["producers"] && f.modeSelected() {
-		out = append(out, "-producers only applies to the default Pareto run")
-	}
-	if !core.ValidEnumerator(f.enumerator) {
-		out = append(out, "-enumerator must be auto, bitset or symbolic")
-	}
-	if f.explicit["enumerator"] && f.modeSelected() {
-		out = append(out, "-enumerator only applies to the default Pareto run")
-	}
-	out = append(out, f.prof.Problems()...)
 	return out
 }
 
@@ -171,43 +108,23 @@ func main() {
 // deferred profiling teardown flush -cpuprofile/-memprofile/-trace on
 // every path.
 func run() int {
-	table1 := flag.Bool("table1", false, "print Table 1 (possible mappings and latencies)")
-	tradeoff := flag.Bool("tradeoff", false, "print the Fig. 4 flexibility/cost trade-off as TSV")
-	compare := flag.Bool("compare", false, "compare EXPLORE against exhaustive, random and EA baselines")
-	verify := flag.Bool("verify", false, "re-verify every front implementation end to end (binding rules, schedules, activation rules)")
-	family := flag.Bool("family", false, "product-family analysis of the front (entry costs, commonality, marginal costs)")
-	timing := flag.String("timing", "paper", "timing policy: paper|rta|ll|none")
-	weighted := flag.Bool("weighted", false, "use the weighted flexibility metric (footnote 2)")
+	fl := &cliFlags{}
+	fl.Register(flag.CommandLine)
+	flag.BoolVar(&fl.table1, "table1", false, "print Table 1 (possible mappings and latencies)")
+	flag.BoolVar(&fl.tradeoff, "tradeoff", false, "print the Fig. 4 flexibility/cost trade-off as TSV")
+	flag.BoolVar(&fl.compare, "compare", false, "compare EXPLORE against exhaustive, random and EA baselines")
+	flag.BoolVar(&fl.verify, "verify", false, "re-verify every front implementation end to end (binding rules, schedules, activation rules)")
+	flag.BoolVar(&fl.family, "family", false, "product-family analysis of the front (entry costs, commonality, marginal costs)")
 	lintMode := flag.String("lint", "on", "preflight static analysis: on | off (see docs/lint-codes.md)")
-	timeout := flag.Duration("timeout", 0, "stop after this duration and print the best-so-far result (0 = no limit)")
-	ckPath := flag.String("checkpoint", "", "periodically write an atomic resume snapshot (default run only)")
-	ckEvery := flag.Int("checkpoint-every", 64, "candidates between periodic checkpoints")
-	resume := flag.Bool("resume", false, "continue from the -checkpoint snapshot (default run only)")
-	cache := flag.String("cache", "on", "cross-candidate evaluation caches: on | off (off is the uncached differential/ablation baseline)")
-	workers := flag.Int("workers", 1, "parallel exploration workers for the default run (0 = GOMAXPROCS); the front is identical to sequential")
-	batch := flag.Int("batch", 0, "candidates per parallel range job (0 = adaptive); the front is identical for every batch size")
-	producers := flag.Int("producers", 0, "candidate-producer shards merged back into cost order (0 = auto); the stream is identical for every count (see docs/performance.md)")
-	enumerator := flag.String("enumerator", "auto", "possible-allocation producer: auto | bitset | symbolic; the front is identical either way (see docs/symbolic.md)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	tracePath := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
-
-	fl := &cliFlags{
-		table1: *table1, tradeoff: *tradeoff, compare: *compare, verify: *verify,
-		family: *family, timeout: *timeout, checkpoint: *ckPath, checkpointEvery: *ckEvery,
-		resume: *resume, cache: *cache, workers: *workers, batch: *batch, producers: *producers, enumerator: *enumerator,
-		prof:     profiling.Flags{CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *tracePath},
-		explicit: map[string]bool{},
-	}
-	flag.Visit(func(f *flag.Flag) { fl.explicit[f.Name] = true })
+	fl.Visit(flag.CommandLine)
 	if probs := fl.problems(); len(probs) > 0 {
 		for _, p := range probs {
 			fmt.Fprintln(os.Stderr, "casestudy:", p)
 		}
 		return 2
 	}
-	stopProf, err := fl.prof.Start()
+	stopProf, err := fl.StartProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "casestudy:", err)
 		return 1
@@ -218,13 +135,8 @@ func run() int {
 		}
 	}()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := fl.Context()
+	defer cancel()
 
 	s := models.SetTopBox()
 	if *lintMode != "off" {
@@ -233,12 +145,12 @@ func run() int {
 			return 1
 		}
 	}
-	opts := core.Options{Timing: timingPolicy(*timing), Weighted: *weighted, DisableCache: *cache == "off", Batch: *batch, Producers: *producers, Enumerator: core.Enumerator(*enumerator)}
+	opts := fl.Core()
 
 	switch {
-	case *table1:
+	case fl.table1:
 		printTable1()
-	case *tradeoff:
+	case fl.tradeoff:
 		r := core.ExploreContext(ctx, s, opts)
 		var pts []dot.TradeoffPoint
 		for _, im := range r.Front {
@@ -247,58 +159,21 @@ func run() int {
 			})
 		}
 		fmt.Print(dot.TradeoffTSV(pts))
-	case *compare:
+	case fl.compare:
 		return compareExplorers(ctx, s, opts)
-	case *verify:
+	case fl.verify:
 		return verifyFront(ctx, s, opts)
-	case *family:
+	case fl.family:
 		r := core.ExploreContext(ctx, s, opts)
 		fmt.Print(core.AnalyzeFamily(s, r.Front))
 	default:
-		var writer *checkpoint.Writer
-		if *ckPath != "" {
-			writer = &checkpoint.Writer{Path: *ckPath}
-			opts.ProgressEvery = *ckEvery
-			opts.Progress = func(p core.Progress) {
-				snap, err := checkpoint.Capture(s, opts, p)
-				if err == nil {
-					err = writer.Save(snap)
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "casestudy:", err)
-				}
-			}
+		flush, err := fl.Checkpointing("casestudy", s, &opts)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "casestudy:", err)
+			return 1
 		}
-		if *resume {
-			snap, err := checkpoint.Load(*ckPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "casestudy:", err)
-				return 1
-			}
-			res, err := snap.Resume(s, opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "casestudy:", err)
-				return 1
-			}
-			opts.Resume = res
-			fmt.Fprintf(os.Stderr, "casestudy: resuming at candidate %d (%d front entries)\n",
-				snap.Cursor, len(snap.Front))
-		}
-		var r *core.Result
-		if *workers != 1 {
-			r = core.ExploreParallelContext(ctx, s, opts, *workers, 0)
-		} else {
-			r = core.ExploreContext(ctx, s, opts)
-		}
-		if writer != nil {
-			snap, err := checkpoint.FromResult(s, opts, r)
-			if err == nil {
-				err = writer.Save(snap)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "casestudy:", err)
-			}
-		}
+		r := core.ExploreParallelContext(ctx, s, opts, fl.Workers, 0)
+		flush(r)
 		if r.Interrupted {
 			fmt.Fprintf(os.Stderr, "casestudy: interrupted (%s) at candidate %d; the table below covers the explored prefix\n",
 				r.Reason, r.Cursor)

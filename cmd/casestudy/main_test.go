@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
@@ -41,26 +42,40 @@ func TestAllocAndClusterStrings(t *testing.T) {
 	}
 }
 
+// TestTimingPolicyFlag: every timing-test name selects its policy, and
+// an unknown name is rejected before any work instead of silently
+// running the paper's test.
 func TestTimingPolicyFlag(t *testing.T) {
 	cases := map[string]bind.TimingPolicy{
 		"paper": bind.TimingPaper, "none": bind.TimingNone,
 		"ll": bind.TimingLiuLayland, "liu-layland": bind.TimingLiuLayland,
-		"rta": bind.TimingRTA, "anything-else": bind.TimingPaper,
+		"rta": bind.TimingRTA,
 	}
 	for in, want := range cases {
-		if got := timingPolicy(in); got != want {
-			t.Errorf("timingPolicy(%s) = %v, want %v", in, got, want)
+		f := baseFlags()
+		f.Timing = in
+		if probs := f.problems(); len(probs) != 0 {
+			t.Errorf("-timing=%s rejected: %v", in, probs)
+		} else if got := f.Core().Timing; got != want {
+			t.Errorf("-timing=%s selects %v, want %v", in, got, want)
+		}
+	}
+	for _, in := range []string{"anything-else", "rtaa", ""} {
+		f := baseFlags()
+		f.Timing = in
+		if probs := f.problems(); len(probs) == 0 {
+			t.Errorf("-timing=%q accepted", in)
 		}
 	}
 }
 
 // baseFlags returns a valid default flag set; tests mutate one aspect
-// and assert on problems().
+// and assert on problems(). The shared run options are covered by
+// internal/runopts; these cases pin casestudy's own mode rules.
 func baseFlags() *cliFlags {
-	return &cliFlags{
-		checkpointEvery: 64, cache: "on", workers: 1,
-		explicit: map[string]bool{},
-	}
+	f := &cliFlags{}
+	f.Register(flag.NewFlagSet("casestudy", flag.ContinueOnError))
+	return f
 }
 
 func TestFlagValidationAccepts(t *testing.T) {
@@ -68,21 +83,9 @@ func TestFlagValidationAccepts(t *testing.T) {
 		func(f *cliFlags) {},
 		func(f *cliFlags) { f.table1 = true },
 		func(f *cliFlags) { f.compare = true },
-		func(f *cliFlags) { f.checkpoint = "ck.json" },
-		func(f *cliFlags) { f.checkpoint = "ck.json"; f.resume = true },
-		func(f *cliFlags) {
-			f.checkpoint = "ck.json"
-			f.checkpointEvery = 8
-			f.explicit["checkpoint"] = true
-			f.explicit["checkpoint-every"] = true
-		},
-		func(f *cliFlags) { f.workers = 0 },
-		func(f *cliFlags) { f.workers = 4; f.batch = 32 },
-		func(f *cliFlags) { f.timeout = 1 },
-		func(f *cliFlags) { f.cache = "off" },
-		func(f *cliFlags) { f.enumerator = "symbolic"; f.explicit["enumerator"] = true },
-		func(f *cliFlags) { f.enumerator = "auto" },
-		func(f *cliFlags) { f.producers = 2; f.explicit["producers"] = true },
+		func(f *cliFlags) { f.Checkpoint = "ck.json"; f.Resume = true },
+		func(f *cliFlags) { f.Workers = 0 },
+		func(f *cliFlags) { f.Workers = 4; f.Checkpoint = "ck.json" },
 	}
 	for i, mutate := range cases {
 		f := baseFlags()
@@ -98,22 +101,10 @@ func TestFlagValidationRejects(t *testing.T) {
 		mutate func(*cliFlags)
 		want   string
 	}{
-		{func(f *cliFlags) { f.checkpoint = "ck.json"; f.table1 = true }, "only apply to the default"},
-		{func(f *cliFlags) { f.resume = true; f.verify = true }, "only apply to the default"},
-		{func(f *cliFlags) { f.resume = true }, "-resume requires"},
-		{func(f *cliFlags) { f.checkpointEvery = 0 }, "-checkpoint-every must be > 0"},
-		{func(f *cliFlags) { f.explicit["checkpoint-every"] = true }, "-checkpoint-every requires -checkpoint"},
-		{func(f *cliFlags) { f.timeout = -1 }, "-timeout"},
-		{func(f *cliFlags) { f.cache = "maybe" }, "-cache"},
-		{func(f *cliFlags) { f.workers = -1 }, "-workers must be >= 0"},
-		{func(f *cliFlags) { f.workers = 4; f.family = true }, "-workers only applies"},
-		{func(f *cliFlags) { f.batch = -1; f.workers = 4 }, "-batch must be >= 0"},
-		{func(f *cliFlags) { f.batch = 8 }, "-batch only applies"},
-		{func(f *cliFlags) { f.enumerator = "bdd" }, "-enumerator must be"},
-		{func(f *cliFlags) { f.producers = -1 }, "-producers must be"},
-		{func(f *cliFlags) { f.producers = 2; f.verify = true; f.explicit["producers"] = true }, "-producers only applies"},
-		{func(f *cliFlags) { f.enumerator = "symbolic"; f.table1 = true; f.explicit["enumerator"] = true }, "-enumerator only applies"},
-		{func(f *cliFlags) { f.prof.CPUProfile = "p.out"; f.prof.Trace = "p.out" }, "same file"},
+		{func(f *cliFlags) { f.Checkpoint = "ck.json"; f.table1 = true }, "only apply to the default"},
+		{func(f *cliFlags) { f.Checkpoint = "ck.json"; f.Resume = true; f.verify = true }, "only apply to the default"},
+		{func(f *cliFlags) { f.Workers = 4; f.family = true }, "-workers only applies"},
+		{func(f *cliFlags) { f.Workers = 0; f.tradeoff = true }, "-workers only applies"},
 	}
 	for i, tc := range cases {
 		f := baseFlags()
@@ -131,13 +122,15 @@ func TestFlagValidationRejects(t *testing.T) {
 	}
 }
 
-// Every rejection must surface all problems at once, not just the first.
+// Every rejection must surface all problems at once — the shared and
+// the mode rules together — not just the first.
 func TestFlagValidationReportsAll(t *testing.T) {
 	f := baseFlags()
-	f.resume = true
-	f.timeout = -1
-	f.workers = -2
-	if probs := f.problems(); len(probs) < 3 {
-		t.Errorf("want >= 3 problems, got %v", probs)
+	f.Resume = true
+	f.compare = true
+	f.Timeout = -1
+	f.Workers = -2
+	if probs := f.problems(); len(probs) < 4 {
+		t.Errorf("want >= 4 problems, got %v", probs)
 	}
 }

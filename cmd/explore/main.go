@@ -24,93 +24,46 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
-	"repro/internal/bind"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/hgraph"
 	"repro/internal/lint"
 	"repro/internal/models"
-	"repro/internal/profiling"
+	"repro/internal/runopts"
 	"repro/internal/spec"
 )
 
-// cliFlags carries the parsed command line for validation; explicit
-// indicates which flags the user actually set (flag.Visit), so
-// incompatible-combination checks do not misfire on defaults.
+// cliFlags carries the parsed command line for validation: the shared
+// run options plus the flags of explore's own modes.
 type cliFlags struct {
-	algo            string
-	model           string
-	objectives      string
-	upgradeFrom     string
-	workers         int
-	batch           int
-	producers       int
-	enumerator      string
-	iters           int
-	checkpointEvery int
-	timeout         time.Duration
-	checkpoint      string
-	resume          bool
-	cache           string
-	prof            profiling.Flags
-	explicit        map[string]bool
+	runopts.Options
+	algo        string
+	model       string
+	objectives  string
+	upgradeFrom string
+	iters       int
 }
 
 // problems returns every reason the flag combination is rejected; a
 // non-empty result exits with status 2 before any exploration starts.
 func (f *cliFlags) problems() []string {
-	var out []string
-	if f.workers < 0 {
-		out = append(out, "-workers must be >= 0 (0 selects GOMAXPROCS)")
-	}
-	if f.batch < 0 {
-		out = append(out, "-batch must be >= 0 (0 selects adaptive sizing)")
-	}
-	if f.explicit["batch"] && f.workers == 1 {
-		out = append(out, "-batch only applies to parallel exploration (-workers != 1)")
-	}
-	if f.producers < 0 {
-		out = append(out, "-producers must be >= 0 (0 selects the automatic producer count)")
-	}
-	if f.explicit["producers"] && f.algo != "explore" && f.algo != "exhaustive" {
-		out = append(out, "-producers requires a cost-ordered scan (-algo explore or exhaustive)")
-	}
-	if !core.ValidEnumerator(f.enumerator) {
-		out = append(out, "-enumerator must be auto, bitset or symbolic")
-	}
-	if f.explicit["enumerator"] && f.algo != "explore" && f.algo != "exhaustive" {
-		out = append(out, "-enumerator requires a cost-ordered scan (-algo explore or exhaustive)")
-	}
+	out := f.Problems(nil)
 	if f.iters <= 0 {
 		out = append(out, "-iters must be > 0")
 	}
-	if f.explicit["iters"] && f.algo != "random" {
+	if f.Explicit["iters"] && f.algo != "random" {
 		out = append(out, "-iters only applies to -algo random")
 	}
-	if f.explicit["seed"] && f.algo != "random" && f.algo != "ea" && f.model != "synthetic" {
+	if f.Explicit["seed"] && f.algo != "random" && f.algo != "ea" && f.model != "synthetic" {
 		out = append(out, "-seed only applies to -algo random, -algo ea, or -model synthetic")
 	}
-	if f.explicit["workers"] && f.workers != 1 && f.algo != "explore" {
+	if f.Explicit["workers"] && f.Workers != 1 && f.algo != "explore" {
 		out = append(out, "-workers only applies to -algo explore")
 	}
-	if f.checkpointEvery <= 0 {
-		out = append(out, "-checkpoint-every must be > 0")
-	}
-	if f.explicit["checkpoint-every"] && f.checkpoint == "" {
-		out = append(out, "-checkpoint-every requires -checkpoint (there is no snapshot file to write)")
-	}
-	if f.timeout < 0 {
-		out = append(out, "-timeout must be >= 0")
-	}
-	if f.resume && f.checkpoint == "" {
-		out = append(out, "-resume requires -checkpoint (the snapshot to continue from)")
-	}
-	if f.checkpoint != "" {
+	if f.Checkpoint != "" {
 		if f.algo != "explore" && f.algo != "exhaustive" {
 			out = append(out, "-checkpoint requires a deterministic cost-ordered scan (-algo explore or exhaustive)")
 		}
@@ -118,10 +71,6 @@ func (f *cliFlags) problems() []string {
 			out = append(out, "-checkpoint is not supported with -objectives or -upgrade-from")
 		}
 	}
-	if f.cache != "on" && f.cache != "off" {
-		out = append(out, "-cache must be on or off")
-	}
-	out = append(out, f.prof.Problems()...)
 	return out
 }
 
@@ -133,42 +82,22 @@ func main() {
 // deferred profiling teardown flush -cpuprofile/-memprofile/-trace on
 // every path.
 func run() int {
+	fl := &cliFlags{}
+	fl.Register(flag.CommandLine)
 	specPath := flag.String("spec", "", "path to a specification graph JSON file (- for stdin)")
-	model := flag.String("model", "", "built-in model: settop | decoder | sdr | synthetic")
-	algo := flag.String("algo", "explore", "explorer: explore | exhaustive | random | ea")
-	timing := flag.String("timing", "paper", "timing policy: paper | rta | ll | none")
-	weighted := flag.Bool("weighted", false, "weighted flexibility metric")
+	flag.StringVar(&fl.model, "model", "", "built-in model: settop | decoder | sdr | synthetic")
+	flag.StringVar(&fl.algo, "algo", "explore", "explorer: explore | exhaustive | random | ea")
 	stats := flag.Bool("stats", false, "print exploration statistics")
 	tsv := flag.Bool("tsv", false, "emit the front as TSV instead of a table")
 	asJSON := flag.Bool("json", false, "emit the full result (front, behaviours, stats) as JSON")
-	iters := flag.Int("iters", 1000, "iterations for -algo random")
+	flag.IntVar(&fl.iters, "iters", 1000, "iterations for -algo random")
 	seed := flag.Int64("seed", 1, "seed for random/ea explorers and synthetic models")
 	stopMax := flag.Bool("stop-at-max", false, "terminate when maximum flexibility is implemented")
-	objectives := flag.String("objectives", "", "comma-separated extra objectives beyond cost+1/flexibility: latency, or any resource attribute (e.g. power)")
-	upgradeFrom := flag.String("upgrade-from", "", "comma-separated deployed units; explore cost-ordered upgrades (supersets only)")
-	workers := flag.Int("workers", 1, "parallel exploration workers (0 = GOMAXPROCS); front is identical to sequential")
-	batch := flag.Int("batch", 0, "candidates per parallel range job (0 = adaptive); the front is identical for every batch size")
-	producers := flag.Int("producers", 0, "candidate-producer shards merged back into cost order (0 = auto); the stream is identical for every count (see docs/performance.md)")
-	enumerator := flag.String("enumerator", "auto", "possible-allocation producer: auto | bitset | symbolic; the front is identical either way (see docs/symbolic.md)")
+	flag.StringVar(&fl.objectives, "objectives", "", "comma-separated extra objectives beyond cost+1/flexibility: latency, or any resource attribute (e.g. power)")
+	flag.StringVar(&fl.upgradeFrom, "upgrade-from", "", "comma-separated deployed units; explore cost-ordered upgrades (supersets only)")
 	lintMode := flag.String("lint", "on", "preflight static analysis: on | off (see docs/lint-codes.md)")
-	timeout := flag.Duration("timeout", 0, "stop the scan after this duration and print the best-so-far front (0 = no limit)")
-	ckPath := flag.String("checkpoint", "", "periodically write an atomic resume snapshot to this file")
-	ckEvery := flag.Int("checkpoint-every", 64, "candidates between periodic checkpoints")
-	resume := flag.Bool("resume", false, "continue the scan from the -checkpoint snapshot")
-	cache := flag.String("cache", "on", "cross-candidate evaluation caches: on | off (off is the uncached differential/ablation baseline)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	tracePath := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
-
-	fl := &cliFlags{
-		algo: *algo, model: *model, objectives: *objectives, upgradeFrom: *upgradeFrom,
-		workers: *workers, batch: *batch, producers: *producers, enumerator: *enumerator, iters: *iters, checkpointEvery: *ckEvery,
-		timeout: *timeout, checkpoint: *ckPath, resume: *resume, cache: *cache,
-		prof:     profiling.Flags{CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *tracePath},
-		explicit: map[string]bool{},
-	}
-	flag.Visit(func(f *flag.Flag) { fl.explicit[f.Name] = true })
+	fl.Visit(flag.CommandLine)
 	if probs := fl.problems(); len(probs) > 0 {
 		for _, p := range probs {
 			fmt.Fprintln(os.Stderr, "explore:", p)
@@ -176,7 +105,7 @@ func run() int {
 		return 2
 	}
 
-	stopProf, err := fl.prof.Start()
+	stopProf, err := fl.StartProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "explore:", err)
 		return 1
@@ -187,7 +116,7 @@ func run() int {
 		}
 	}()
 
-	s, err := loadSpec(*specPath, *model, *seed)
+	s, err := loadSpec(*specPath, fl.model, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "explore:", err)
 		return 1
@@ -199,39 +128,22 @@ func run() int {
 		}
 	}
 
-	opts := core.Options{Weighted: *weighted, StopAtMaxFlex: *stopMax, DisableCache: *cache == "off", Batch: *batch, Producers: *producers, Enumerator: core.Enumerator(*enumerator)}
-	switch *timing {
-	case "paper":
-		opts.Timing = bind.TimingPaper
-	case "rta":
-		opts.Timing = bind.TimingRTA
-	case "ll":
-		opts.Timing = bind.TimingLiuLayland
-	case "none":
-		opts.Timing = bind.TimingNone
-	default:
-		fmt.Fprintf(os.Stderr, "explore: unknown timing policy %q\n", *timing)
-		return 2
-	}
+	opts := fl.Core()
+	opts.StopAtMaxFlex = *stopMax
 
 	// A SIGINT cancels the scan instead of killing the process: the
 	// explorers return their prefix-exact partial front, a final
 	// checkpoint is flushed, and the front is printed before exit.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := fl.Context()
+	defer cancel()
 
-	if *objectives != "" {
-		runMulti(ctx, s, opts, *objectives)
+	if fl.objectives != "" {
+		runMulti(ctx, s, opts, fl.objectives)
 		return 0
 	}
-	if *upgradeFrom != "" {
+	if fl.upgradeFrom != "" {
 		base := spec.Allocation{}
-		for _, id := range strings.Split(*upgradeFrom, ",") {
+		for _, id := range strings.Split(fl.upgradeFrom, ",") {
 			id = strings.TrimSpace(id)
 			if id != "" {
 				base[hgraph.ID(id)] = true
@@ -246,76 +158,37 @@ func run() int {
 	// The exhaustive overrides must be in opts before the checkpoint
 	// wiring so the options digest describes the scan actually run and
 	// a snapshot taken under -algo exhaustive resumes consistently.
-	if *algo == "exhaustive" {
+	if fl.algo == "exhaustive" {
 		opts.DisableFlexBound = true
 		opts.IncludeUselessComm = true
 		opts.StopAtMaxFlex = false
 	}
 
-	var writer *checkpoint.Writer
-	if *ckPath != "" {
-		writer = &checkpoint.Writer{Path: *ckPath}
-		opts.ProgressEvery = *ckEvery
-		opts.Progress = func(p core.Progress) {
-			snap, err := checkpoint.Capture(s, opts, p)
-			if err == nil {
-				err = writer.Save(snap)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "explore:", err)
-			}
-		}
-	}
-	if *resume {
-		snap, err := checkpoint.Load(*ckPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "explore:", err)
-			return 1
-		}
-		res, err := snap.Resume(s, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "explore:", err)
-			return 1
-		}
-		opts.Resume = res
-		fmt.Fprintf(os.Stderr, "explore: resuming %q at candidate %d (%d front entries)\n",
-			snap.SpecName, snap.Cursor, len(snap.Front))
+	flush, err := fl.Checkpointing("explore", s, &opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "explore:", err)
+		return 1
 	}
 
 	var r *core.Result
-	switch *algo {
+	switch fl.algo {
 	case "explore":
-		if *workers != 1 {
-			r = core.ExploreParallelContext(ctx, s, opts, *workers, 0)
-		} else {
-			r = core.ExploreContext(ctx, s, opts)
-		}
+		r = core.ExploreParallelContext(ctx, s, opts, fl.Workers, 0)
 	case "exhaustive":
 		r = core.ExhaustiveContext(ctx, s, opts)
 	case "random":
-		r = core.RandomSearchContext(ctx, s, opts, *iters, *seed)
+		r = core.RandomSearchContext(ctx, s, opts, fl.iters, *seed)
 	case "ea":
 		r = core.EvolutionaryContext(ctx, s, opts, core.EAConfig{Seed: *seed})
 	default:
-		fmt.Fprintf(os.Stderr, "explore: unknown algorithm %q\n", *algo)
+		fmt.Fprintf(os.Stderr, "explore: unknown algorithm %q\n", fl.algo)
 		return 2
 	}
-
-	if writer != nil {
-		// Final flush so the snapshot covers the whole explored prefix,
-		// interrupted or not.
-		snap, err := checkpoint.FromResult(s, opts, r)
-		if err == nil {
-			err = writer.Save(snap)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "explore:", err)
-		}
-	}
+	flush(r)
 	if r.Interrupted {
 		fmt.Fprintf(os.Stderr, "explore: interrupted (%s) at candidate %d; the front below is the Pareto set of the explored prefix\n",
 			r.Reason, r.Cursor)
-		if writer != nil {
+		if fl.Checkpoint != "" {
 			fmt.Fprintf(os.Stderr, "explore: continue with: explore %s -resume\n",
 				strings.Join(resumeArgs(), " "))
 		}
@@ -407,18 +280,10 @@ func loadSpec(path, model string, seed int64) (*spec.Spec, error) {
 		defer f.Close()
 		return spec.Read(f)
 	}
-	switch model {
-	case "settop":
-		return models.SetTopBox(), nil
-	case "decoder":
-		return models.Decoder(), nil
-	case "sdr":
-		return models.SDR(), nil
-	case "synthetic":
-		return models.Synthetic(models.DefaultSynthetic(seed)), nil
-	default:
-		return nil, fmt.Errorf("unknown model %q (settop | decoder | sdr | synthetic)", model)
+	if s, ok := models.ByName(model, seed); ok {
+		return s, nil
 	}
+	return nil, fmt.Errorf("unknown model %q (settop | decoder | sdr | synthetic)", model)
 }
 
 // runMulti runs the generalized multi-objective exploration.

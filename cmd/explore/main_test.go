@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
@@ -8,68 +9,29 @@ import (
 )
 
 // baseFlags returns a valid default flag set; tests mutate one aspect
-// and assert on problems().
+// and assert on problems(). The shared run options are covered by
+// internal/runopts; these cases pin explore's own mode rules.
 func baseFlags() *cliFlags {
-	return &cliFlags{
-		algo: "explore", workers: 1, iters: 1000, checkpointEvery: 64,
-		cache: "on", explicit: map[string]bool{},
-	}
+	f := &cliFlags{algo: "explore", iters: 1000}
+	f.Register(flag.NewFlagSet("explore", flag.ContinueOnError))
+	return f
 }
 
 func TestFlagValidationAccepts(t *testing.T) {
 	cases := []func(*cliFlags){
 		func(f *cliFlags) {},
-		func(f *cliFlags) { f.workers = 0; f.explicit["workers"] = true },
-		func(f *cliFlags) { f.workers = 8; f.explicit["workers"] = true },
-		func(f *cliFlags) {
-			f.workers = 4
-			f.batch = 64
-			f.explicit["workers"] = true
-			f.explicit["batch"] = true
-		},
-		func(f *cliFlags) {
-			f.workers = 0
-			f.batch = 0
-			f.explicit["workers"] = true
-			f.explicit["batch"] = true
-		},
+		func(f *cliFlags) { f.Workers = 0; f.Explicit["workers"] = true },
+		func(f *cliFlags) { f.Workers = 8; f.Explicit["workers"] = true },
 		func(f *cliFlags) {
 			f.algo = "random"
 			f.iters = 5
-			f.explicit["iters"] = true
-			f.explicit["seed"] = true
+			f.Explicit["iters"] = true
+			f.Explicit["seed"] = true
 		},
-		func(f *cliFlags) { f.algo = "ea"; f.explicit["seed"] = true },
-		func(f *cliFlags) { f.model = "synthetic"; f.explicit["seed"] = true },
-		func(f *cliFlags) { f.checkpoint = "ck.json"; f.checkpointEvery = 4 },
-		func(f *cliFlags) {
-			f.checkpoint = "ck.json"
-			f.checkpointEvery = 4
-			f.explicit["checkpoint"] = true
-			f.explicit["checkpoint-every"] = true
-		},
-		func(f *cliFlags) { f.algo = "exhaustive"; f.checkpoint = "ck.json"; f.resume = true },
-		func(f *cliFlags) { f.timeout = 1 },
-		func(f *cliFlags) { f.cache = "off" },
-		func(f *cliFlags) { f.enumerator = "symbolic"; f.explicit["enumerator"] = true },
-		func(f *cliFlags) { f.enumerator = "bitset"; f.explicit["enumerator"] = true },
-		func(f *cliFlags) { f.producers = 4; f.explicit["producers"] = true },
-		func(f *cliFlags) {
-			f.algo = "exhaustive"
-			f.producers = 1
-			f.explicit["producers"] = true
-		},
-		func(f *cliFlags) { f.enumerator = "auto" },
-		func(f *cliFlags) {
-			f.algo = "exhaustive"
-			f.enumerator = "symbolic"
-			f.explicit["enumerator"] = true
-		},
-		func(f *cliFlags) {
-			f.prof.CPUProfile = "cpu.out"
-			f.prof.MemProfile = "mem.out"
-			f.prof.Trace = "trace.out"
-		},
+		func(f *cliFlags) { f.algo = "ea"; f.Explicit["seed"] = true },
+		func(f *cliFlags) { f.model = "synthetic"; f.Explicit["seed"] = true },
+		func(f *cliFlags) { f.algo = "exhaustive"; f.Checkpoint = "ck.json"; f.Resume = true },
+		func(f *cliFlags) { f.algo = "ea"; f.Workers = 1; f.Explicit["workers"] = true },
 	}
 	for i, mutate := range cases {
 		f := baseFlags()
@@ -85,28 +47,17 @@ func TestFlagValidationRejects(t *testing.T) {
 		mutate func(*cliFlags)
 		want   string
 	}{
-		{func(f *cliFlags) { f.workers = -1 }, "-workers"},
-		{func(f *cliFlags) { f.workers = 4; f.batch = -1; f.explicit["workers"] = true }, "-batch must be >= 0"},
-		{func(f *cliFlags) { f.batch = 8; f.explicit["batch"] = true }, "-batch only applies"},
 		{func(f *cliFlags) { f.iters = 0 }, "-iters"},
 		{func(f *cliFlags) { f.iters = -3 }, "-iters"},
-		{func(f *cliFlags) { f.explicit["iters"] = true }, "-iters only applies"},
-		{func(f *cliFlags) { f.explicit["seed"] = true }, "-seed only applies"},
-		{func(f *cliFlags) { f.algo = "ea"; f.workers = 4; f.explicit["workers"] = true }, "-workers only applies"},
-		{func(f *cliFlags) { f.checkpointEvery = 0 }, "-checkpoint-every"},
-		{func(f *cliFlags) { f.explicit["checkpoint-every"] = true }, "-checkpoint-every requires -checkpoint"},
-		{func(f *cliFlags) { f.timeout = -1 }, "-timeout"},
-		{func(f *cliFlags) { f.resume = true }, "-resume requires"},
-		{func(f *cliFlags) { f.algo = "random"; f.checkpoint = "ck.json" }, "cost-ordered"},
-		{func(f *cliFlags) { f.algo = "ea"; f.checkpoint = "ck.json" }, "cost-ordered"},
-		{func(f *cliFlags) { f.checkpoint = "ck.json"; f.objectives = "latency" }, "not supported"},
-		{func(f *cliFlags) { f.checkpoint = "ck.json"; f.upgradeFrom = "CPU1" }, "not supported"},
-		{func(f *cliFlags) { f.cache = "maybe" }, "-cache"},
-		{func(f *cliFlags) { f.enumerator = "bdd" }, "-enumerator must be"},
-		{func(f *cliFlags) { f.producers = -1 }, "-producers must be"},
-		{func(f *cliFlags) { f.algo = "random"; f.producers = 2; f.explicit["producers"] = true }, "-producers requires"},
-		{func(f *cliFlags) { f.algo = "random"; f.enumerator = "symbolic"; f.explicit["enumerator"] = true }, "-enumerator requires"},
-		{func(f *cliFlags) { f.prof.CPUProfile = "p.out"; f.prof.Trace = "p.out" }, "same file"},
+		{func(f *cliFlags) { f.Explicit["iters"] = true }, "-iters only applies"},
+		{func(f *cliFlags) { f.Explicit["seed"] = true }, "-seed only applies"},
+		{func(f *cliFlags) { f.algo = "ea"; f.Workers = 4; f.Explicit["workers"] = true }, "-workers only applies"},
+		{func(f *cliFlags) { f.algo = "random"; f.Checkpoint = "ck.json" }, "cost-ordered"},
+		{func(f *cliFlags) { f.algo = "ea"; f.Checkpoint = "ck.json" }, "cost-ordered"},
+		{func(f *cliFlags) { f.Checkpoint = "ck.json"; f.objectives = "latency" }, "not supported"},
+		{func(f *cliFlags) { f.Checkpoint = "ck.json"; f.upgradeFrom = "CPU1" }, "not supported"},
+		// A shared rule still reaches explore's report.
+		{func(f *cliFlags) { f.Timing = "rtaa" }, "-timing"},
 	}
 	for i, tc := range cases {
 		f := baseFlags()
@@ -124,12 +75,13 @@ func TestFlagValidationRejects(t *testing.T) {
 	}
 }
 
-// Every rejection must surface all problems at once, not just the first.
+// Every rejection must surface all problems at once — the shared and
+// the mode rules together — not just the first.
 func TestFlagValidationReportsAll(t *testing.T) {
 	f := baseFlags()
-	f.workers = -2
+	f.Workers = -2
 	f.iters = 0
-	f.timeout = -1
+	f.Timeout = -1
 	if probs := f.problems(); len(probs) < 3 {
 		t.Errorf("want >= 3 problems, got %v", probs)
 	}

@@ -28,35 +28,19 @@ func TestWorkersSmoke(t *testing.T) {
 		}
 		return string(out)
 	}
-	seq := run("-model", "settop", "-tsv")
-	if !strings.Contains(seq, "\t") {
-		t.Fatalf("sequential run produced no TSV front:\n%s", seq)
-	}
-	for _, workers := range []string{"0", "4"} {
-		par := run("-model", "settop", "-tsv", "-workers", workers)
-		if par != seq {
-			t.Errorf("-workers %s front differs from sequential:\nsequential:\n%s\nparallel:\n%s", workers, seq, par)
+	// The engine shards candidate production across min(workers, 4)
+	// producers and sizes range jobs adaptively; neither may move a
+	// byte of the front.
+	for _, model := range [][]string{{"-model", "settop"}, {"-model", "synthetic", "-seed", "3"}} {
+		seq := run(append(model, "-tsv")...)
+		if !strings.Contains(seq, "\t") {
+			t.Fatalf("%v: sequential run produced no TSV front:\n%s", model, seq)
 		}
-	}
-	// -batch sizes the parallel range jobs; the committed front must be
-	// byte-identical for every size (1 = per-candidate, 64 = the
-	// adaptive ceiling).
-	for _, batch := range []string{"1", "4", "64"} {
-		par := run("-model", "settop", "-tsv", "-workers", "4", "-batch", batch)
-		if par != seq {
-			t.Errorf("-batch %s front differs from sequential:\nsequential:\n%s\nbatched:\n%s", batch, seq, par)
+		for _, workers := range []string{"0", "2", "4"} {
+			par := run(append(model, "-tsv", "-workers", workers)...)
+			if par != seq {
+				t.Errorf("%v -workers %s front differs from sequential:\nsequential:\n%s\nparallel:\n%s", model, workers, seq, par)
+			}
 		}
-	}
-	// -producers shards candidate production; the merged stream — and so
-	// the front — must be byte-identical for every shard count, with and
-	// without a worker pool on top.
-	for _, producers := range []string{"1", "2", "4"} {
-		sh := run("-model", "settop", "-tsv", "-producers", producers)
-		if sh != seq {
-			t.Errorf("-producers %s front differs from sequential:\nsequential:\n%s\nsharded:\n%s", producers, seq, sh)
-		}
-	}
-	if sh := run("-model", "settop", "-tsv", "-workers", "4", "-producers", "3"); sh != seq {
-		t.Errorf("-workers 4 -producers 3 front differs from sequential:\nsequential:\n%s\nsharded:\n%s", seq, sh)
 	}
 }

@@ -505,7 +505,7 @@ func TestResumeAcrossBatchSizes(t *testing.T) {
 // stream — so choosing it must not invalidate an existing checkpoint.
 func TestOptionsDigestIgnoresEnumerator(t *testing.T) {
 	base := OptionsDigest(core.Options{})
-	for _, e := range []core.Enumerator{core.EnumeratorBitset, core.EnumeratorSymbolic, "auto"} {
+	for _, e := range []core.Enumerator{core.EnumeratorBitset, core.EnumeratorSymbolic} {
 		if OptionsDigest(core.Options{Enumerator: e}) != base {
 			t.Fatalf("Enumerator=%q leaked into the options digest", e)
 		}

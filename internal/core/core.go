@@ -182,9 +182,9 @@ func (o Options) progressEvery() int {
 type Enumerator string
 
 const (
-	// EnumeratorAuto — the zero value; the spelling "auto" is also
-	// accepted — picks the bitset scan up to autoSymbolicUnits
-	// allocatable units and the symbolic enumeration above.
+	// EnumeratorAuto, the zero value, picks the bitset scan up to
+	// autoSymbolicUnits allocatable units and the symbolic enumeration
+	// above.
 	EnumeratorAuto Enumerator = ""
 	// EnumeratorBitset forces the exhaustive cost-ordered subset scan
 	// (alloc.EnumerateRange): every one of the 2^n subsets is generated
@@ -205,26 +205,14 @@ const (
 // behaviour exactly.
 const autoSymbolicUnits = 20
 
-// ValidEnumerator reports whether s names a selectable enumerator.
-// "auto" and the empty string both select automatic choice. Flag and
-// request validation use it so a misspelled name fails fast instead of
-// silently falling back to a default.
-func ValidEnumerator(s string) bool {
-	switch Enumerator(s) {
-	case EnumeratorAuto, "auto", EnumeratorBitset, EnumeratorSymbolic:
-		return true
-	}
-	return false
-}
-
 // enumeratorFor resolves the configured producer for a specification
-// with n allocatable units. Unknown values panic: the CLI and server
-// layers validate with ValidEnumerator before options reach the engine.
+// with n allocatable units. Unknown values panic: no front end sets the
+// enumerator, so only a caller's bug can reach the engine with one.
 func (o Options) enumeratorFor(n int) Enumerator {
 	switch o.Enumerator {
 	case EnumeratorBitset, EnumeratorSymbolic:
 		return o.Enumerator
-	case EnumeratorAuto, "auto":
+	case EnumeratorAuto:
 		if n > autoSymbolicUnits {
 			return EnumeratorSymbolic
 		}

@@ -10,8 +10,9 @@ import (
 )
 
 // TestEnumeratorResolution pins the dispatch rule: explicit choices
-// win, auto (in both spellings) switches on the unit count, and a
-// misspelled enumerator panics instead of silently falling back.
+// win, auto switches on the unit count, and any other value — the
+// retired "auto" spelling included — panics instead of silently
+// falling back.
 func TestEnumeratorResolution(t *testing.T) {
 	cases := []struct {
 		e    Enumerator
@@ -20,8 +21,6 @@ func TestEnumeratorResolution(t *testing.T) {
 	}{
 		{EnumeratorAuto, autoSymbolicUnits, EnumeratorBitset},
 		{EnumeratorAuto, autoSymbolicUnits + 1, EnumeratorSymbolic},
-		{Enumerator("auto"), autoSymbolicUnits, EnumeratorBitset},
-		{Enumerator("auto"), autoSymbolicUnits + 1, EnumeratorSymbolic},
 		{EnumeratorBitset, 1000, EnumeratorBitset},
 		{EnumeratorSymbolic, 1, EnumeratorSymbolic},
 	}
@@ -30,24 +29,16 @@ func TestEnumeratorResolution(t *testing.T) {
 			t.Errorf("enumeratorFor(%q, %d) = %q, want %q", tc.e, tc.n, got, tc.want)
 		}
 	}
-	for _, s := range []string{"", "auto", "bitset", "symbolic"} {
-		if !ValidEnumerator(s) {
-			t.Errorf("ValidEnumerator(%q) = false, want true", s)
-		}
-	}
-	for _, s := range []string{"bdd", "Bitset", "symbolic "} {
-		if ValidEnumerator(s) {
-			t.Errorf("ValidEnumerator(%q) = true, want false", s)
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("enumeratorFor on an unknown value did not panic")
-			}
+	for _, e := range []Enumerator{"bogus", "auto"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("enumeratorFor(%q) did not panic", e)
+				}
+			}()
+			(Options{Enumerator: e}).enumeratorFor(5)
 		}()
-		(Options{Enumerator: "bogus"}).enumeratorFor(5)
-	}()
+	}
 
 	// The paper's case study must stay on the bitset scan under auto —
 	// that is what keeps the seed's goldens and Scanned figures intact.

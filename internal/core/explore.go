@@ -43,9 +43,7 @@ func ExploreContext(ctx context.Context, s *spec.Spec, opts Options) *Result {
 	res.Stats.PossibleAllocations = startCursor
 
 	ev := newEvaluator(s, opts)
-	_, _, pc, _ := s.Problem.ElementCount()
-	producers := opts.producersFor(1, len(alloc.Units(s)))
-	aStats := enumerateRange(s, opts, producers, startCursor, func(c alloc.Candidate) bool {
+	aStats := enumerateRange(s, opts, 1, startCursor, func(c alloc.Candidate) bool {
 		res.Stats.PossibleAllocations++
 		if ctx.Err() != nil {
 			res.Interrupted, res.Reason = true, reasonFor(ctx)
@@ -112,7 +110,7 @@ func ExploreContext(ctx context.Context, s *spec.Spec, opts Options) *Result {
 		return true
 	})
 	ev.fold(&res.Stats)
-	finishResult(res, aStats, pc, opts)
+	finishResult(&res.Stats, &res.Reason, s, aStats, opts)
 	res.Front = frontToImplementations(front)
 	return res
 }
@@ -143,20 +141,22 @@ func seedResume(res *Result, front *pareto.Front, r *Resume) (fcur float64, star
 	return fcur, r.Cursor
 }
 
-// enumerateRange drives the cost-ordered candidate stream through the
-// producer Options.Enumerator selects, sharded across producers
-// walker goroutines when producers >= 1 (as resolved by producersFor;
-// 0 selects the direct in-process scan). Every producer choice and
-// count emits the bit-identical stream with the same range addressing,
-// so everything downstream — fronts, cursors, resume, checkpoints —
-// is oblivious to the configuration; only the Scanned effort counter
-// (and what MaxScan bounds) is producer-specific.
-func enumerateRange(s *spec.Spec, opts Options, producers, start int, fn func(alloc.Candidate) bool) alloc.Stats {
+// enumerateRange drives the cost-ordered candidate stream for an
+// explorer with the given worker count through the producer
+// enumeratorFor resolves, sharded across the walker goroutines
+// producersFor resolves (0 selects the direct in-process scan). Every
+// producer choice and count emits the bit-identical stream with the
+// same range addressing, so everything downstream — fronts, cursors,
+// resume, checkpoints — is oblivious to the configuration; only the
+// Scanned effort counter (and what MaxScan bounds) is producer-specific.
+func enumerateRange(s *spec.Spec, opts Options, workers, start int, fn func(alloc.Candidate) bool) alloc.Stats {
 	ao := alloc.Options{
 		IncludeUselessComm: opts.IncludeUselessComm,
 		MaxScan:            opts.MaxScan,
 	}
-	symbolic := opts.enumeratorFor(len(alloc.Units(s))) == EnumeratorSymbolic
+	n := len(alloc.Units(s))
+	producers := opts.producersFor(workers, n)
+	symbolic := opts.enumeratorFor(n) == EnumeratorSymbolic
 	switch {
 	case producers >= 1 && symbolic:
 		return alloc.EnumerateSymbolicShardedRange(s, ao, producers, start, fn)
@@ -169,17 +169,19 @@ func enumerateRange(s *spec.Spec, opts Options, producers, start int, fn func(al
 	}
 }
 
-// finishResult folds the enumeration statistics into the result and
-// classifies a MaxScan-bounded termination.
-func finishResult(res *Result, aStats alloc.Stats, pc int, opts Options) {
-	res.Stats.Scanned = aStats.Scanned
-	res.Stats.AllocSpace = aStats.SearchSpace
-	res.Stats.DesignSpace = aStats.SearchSpace * alloc.SearchSpace(pc)
-	res.Stats.Pipeline.Producers = aStats.Producers
-	res.Stats.Pipeline.ProducerBusyNanos = aStats.ProducerBusyNanos
-	res.Stats.Pipeline.MergeStalls = aStats.MergeStalls
-	if res.Reason == ReasonCompleted && opts.MaxScan > 0 && aStats.Scanned >= opts.MaxScan {
-		res.Reason = ReasonScanBound
+// finishResult folds the enumeration statistics into a result's stats
+// and classifies a MaxScan-bounded termination in its reason — the
+// fields Result and MultiResult share.
+func finishResult(st *Stats, reason *Reason, s *spec.Spec, aStats alloc.Stats, opts Options) {
+	_, _, pc, _ := s.Problem.ElementCount()
+	st.Scanned = aStats.Scanned
+	st.AllocSpace = aStats.SearchSpace
+	st.DesignSpace = aStats.SearchSpace * alloc.SearchSpace(pc)
+	st.Pipeline.Producers = aStats.Producers
+	st.Pipeline.ProducerBusyNanos = aStats.ProducerBusyNanos
+	st.Pipeline.MergeStalls = aStats.MergeStalls
+	if *reason == ReasonCompleted && opts.MaxScan > 0 && aStats.Scanned >= opts.MaxScan {
+		*reason = ReasonScanBound
 	}
 }
 

@@ -168,9 +168,7 @@ func ExploreParallelContext(ctx context.Context, s *spec.Spec, opts Options, wor
 			return false
 		}
 	}
-	_, _, pc, _ := s.Problem.ElementCount()
-	producers := opts.producersFor(workers, len(alloc.Units(s)))
-	aStats := enumerateRange(s, opts, producers, startCursor, func(cd alloc.Candidate) bool {
+	aStats := enumerateRange(s, opts, workers, startCursor, func(cd alloc.Candidate) bool {
 		p.possible.Add(1)
 		if ctx.Err() != nil {
 			producerCancelled = true
@@ -226,7 +224,7 @@ func ExploreParallelContext(ctx context.Context, s *spec.Spec, opts Options, wor
 			Stats:          res.Stats,
 		})
 	}
-	finishResult(res, aStats, pc, opts)
+	finishResult(&res.Stats, &res.Reason, s, aStats, opts)
 	res.Front = frontToImplementations(front)
 	return res
 }

@@ -39,7 +39,6 @@ func UpgradeContext(ctx context.Context, s *spec.Spec, base spec.Allocation, opt
 	}
 	baseFlex := fcur
 
-	_, _, pc, _ := s.Problem.ElementCount()
 	aStats := alloc.EnumerateExtensions(s, base, alloc.Options{
 		IncludeUselessComm: opts.IncludeUselessComm,
 		MaxScan:            opts.MaxScan,
@@ -74,7 +73,7 @@ func UpgradeContext(ctx context.Context, s *spec.Spec, base spec.Allocation, opt
 		return true
 	})
 	ev.fold(&res.Stats)
-	finishResult(res, aStats, pc, opts)
+	finishResult(&res.Stats, &res.Reason, s, aStats, opts)
 	res.Front = frontToImplementations(front)
 	return res
 }

@@ -2,16 +2,17 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
-	"repro/internal/bind"
-	"repro/internal/core"
 	"repro/internal/lint"
 	"repro/internal/models"
+	"repro/internal/runopts"
 	"repro/internal/spec"
 )
 
@@ -29,7 +30,8 @@ type Request struct {
 	// Seed parameterizes the synthetic model.
 	Seed int64 `json:"seed,omitempty"`
 
-	// Timing is the timing policy: paper (default) | rta | ll | none.
+	// Timing is the timing test: paper (default) | rta | ll |
+	// liu-layland | none.
 	Timing string `json:"timing,omitempty"`
 	// Weighted selects the weighted flexibility metric.
 	Weighted bool `json:"weighted,omitempty"`
@@ -41,29 +43,19 @@ type Request struct {
 	StopAtMaxFlex bool `json:"stopAtMaxFlex,omitempty"`
 
 	// MaxScan bounds the enumeration effort (0 = unbounded) — the
-	// per-job candidate-scan budget, counted in the enumerator's own
-	// unit: subsets scanned (bitset) or BDD search nodes visited
-	// (symbolic).
+	// per-job candidate-scan budget, counted in the unit of the
+	// enumerator the engine picks: subsets scanned (bitset, up to 20
+	// allocatable units) or BDD search nodes visited (symbolic, above).
 	MaxScan int `json:"maxScan,omitempty"`
-	// Enumerator selects the possible-allocation producer: "bitset",
-	// "symbolic", or "auto"/"" (bitset at small unit counts, symbolic
-	// above). The choice never changes the result — both producers emit
-	// the bit-identical candidate stream — only the scan effort.
-	Enumerator string `json:"enumerator,omitempty"`
 	// MaxECS bounds the behaviours tested per candidate.
 	MaxECS int `json:"maxEcs,omitempty"`
 	// MaxBindNodes bounds each binding search.
 	MaxBindNodes int `json:"maxBindNodes,omitempty"`
 
 	// Workers is the job's worker budget (0 = server default, 1 =
-	// sequential, N = parallel pipeline).
+	// sequential, N = parallel pipeline with min(N, 4) sharded
+	// candidate producers).
 	Workers int `json:"workers,omitempty"`
-	// Batch sets the parallel explorer's range-job size (0 = adaptive).
-	Batch int `json:"batch,omitempty"`
-	// Producers shards candidate production across goroutines, merged
-	// back into the bit-identical cost-ordered stream (0 = auto: direct
-	// scan for sequential jobs, min(workers, 4) for parallel ones).
-	Producers int `json:"producers,omitempty"`
 	// DeadlineMs is the job's wall-clock budget in milliseconds,
 	// counted from admission and spanning suspensions; on expiry the
 	// job completes with its prefix-exact partial front. 0 selects the
@@ -176,96 +168,55 @@ func (s *Server) loadSpec(req *Request) (*spec.Spec, *apiError) {
 		}
 		return sp, nil
 	}
-	switch req.Model {
-	case "settop":
-		return models.SetTopBox(), nil
-	case "decoder":
-		return models.Decoder(), nil
-	case "sdr":
-		return models.SDR(), nil
-	case "synthetic":
-		return models.Synthetic(models.DefaultSynthetic(req.Seed)), nil
-	default:
-		return nil, errMalformed(fmt.Sprintf("unknown model %q (settop | decoder | sdr | synthetic)", req.Model))
+	if sp, ok := models.ByName(req.Model, req.Seed); ok {
+		return sp, nil
 	}
+	return nil, errMalformed(fmt.Sprintf("unknown model %q (settop | decoder | sdr | synthetic)", req.Model))
 }
 
 // jobFromRequest validates the budgets and builds the job template
 // (unadmitted: no id, no state).
 func (s *Server) jobFromRequest(req *Request, sp *spec.Spec) (*job, *apiError) {
-	if req.Workers < 0 {
-		return nil, errBudget(`"workers" must be >= 0 (0 selects the server default)`)
-	}
-	if req.Batch < 0 {
-		return nil, errBudget(`"batch" must be >= 0 (0 selects adaptive sizing)`)
-	}
-	if req.Producers < 0 {
-		return nil, errBudget(`"producers" must be >= 0 (0 selects the automatic producer count)`)
-	}
 	if req.MaxScan < 0 || req.MaxECS < 0 || req.MaxBindNodes < 0 {
 		return nil, errBudget(`"maxScan", "maxEcs" and "maxBindNodes" must be >= 0`)
 	}
-	if req.DeadlineMs < 0 {
-		return nil, errBudget(`"deadlineMs" must be >= 0 (0 selects the server default)`)
+	ro := runopts.Options{
+		Timing:          cmp.Or(req.Timing, "paper"),
+		Weighted:        req.Weighted,
+		Cache:           "on",
+		Workers:         req.Workers,
+		Timeout:         cmp.Or(time.Duration(req.DeadlineMs)*time.Millisecond, s.cfg.MaxDeadline),
+		MaxTimeout:      s.cfg.MaxDeadline,
+		CheckpointEvery: cmp.Or(req.CheckpointEvery, 64),
 	}
-	if req.CheckpointEvery < 0 {
-		return nil, errBudget(`"checkpointEvery" must be >= 0 (0 selects 64)`)
-	}
-	if !core.ValidEnumerator(req.Enumerator) {
-		return nil, errBudget(fmt.Sprintf(`unknown "enumerator" %q (auto | bitset | symbolic)`, req.Enumerator))
-	}
-	deadline := time.Duration(req.DeadlineMs) * time.Millisecond
-	if deadline == 0 {
-		deadline = s.cfg.MaxDeadline
-	}
-	if s.cfg.MaxDeadline > 0 && deadline > s.cfg.MaxDeadline {
-		return nil, errBudget(fmt.Sprintf(`"deadlineMs" %d exceeds the server cap %d`,
-			req.DeadlineMs, s.cfg.MaxDeadline.Milliseconds()))
+	if probs := ro.Problems(jsonNames); len(probs) > 0 {
+		return nil, errBudget(strings.Join(probs, "; "))
 	}
 
-	var timing bind.TimingPolicy
-	switch req.Timing {
-	case "", "paper":
-		timing = bind.TimingPaper
-	case "rta":
-		timing = bind.TimingRTA
-	case "ll":
-		timing = bind.TimingLiuLayland
-	case "none":
-		timing = bind.TimingNone
-	default:
-		return nil, errBudget(fmt.Sprintf(`unknown "timing" policy %q (paper | rta | ll | none)`, req.Timing))
-	}
-
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.defaultWorkers()
-	}
-	ckEvery := req.CheckpointEvery
-	if ckEvery == 0 {
-		ckEvery = 64
-	}
+	opts := ro.Core()
+	opts.StopAtMaxFlex = req.StopAtMaxFlex
+	opts.DisableFlexBound = req.Exhaustive
+	opts.IncludeUselessComm = req.Exhaustive
+	opts.MaxScan = req.MaxScan
+	opts.MaxECS = req.MaxECS
+	opts.MaxBindNodes = req.MaxBindNodes
 	j := &job{
 		spec:     sp,
-		workers:  workers,
-		ckEvery:  ckEvery,
+		workers:  cmp.Or(ro.Workers, max(s.cfg.DefaultWorkers, 1)),
+		ckEvery:  ro.CheckpointEvery,
 		periodic: req.PeriodicCheckpoint,
-		opts: core.Options{
-			Timing:             timing,
-			Weighted:           req.Weighted,
-			StopAtMaxFlex:      req.StopAtMaxFlex,
-			DisableFlexBound:   req.Exhaustive,
-			IncludeUselessComm: req.Exhaustive,
-			MaxScan:            req.MaxScan,
-			MaxECS:             req.MaxECS,
-			MaxBindNodes:       req.MaxBindNodes,
-			Batch:              req.Batch,
-			Producers:          req.Producers,
-			Enumerator:         core.Enumerator(req.Enumerator),
-		},
+		opts:     opts,
 	}
-	if deadline > 0 {
-		j.deadline = time.Now().Add(deadline)
+	if ro.Timeout > 0 {
+		j.deadline = time.Now().Add(ro.Timeout)
 	}
 	return j, nil
+}
+
+// jsonNames spells the shared run options the way Request names them.
+var jsonNames = map[string]string{
+	"timing":           `"timing"`,
+	"workers":          `"workers"`,
+	"timeout":          `"deadlineMs"`,
+	"checkpoint-every": `"checkpointEvery"`,
 }

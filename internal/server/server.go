@@ -138,13 +138,6 @@ func (c Config) lowWater() int {
 	return c.highWater() / 2
 }
 
-func (c Config) defaultWorkers() int {
-	if c.DefaultWorkers <= 0 {
-		return 1
-	}
-	return c.DefaultWorkers
-}
-
 func (c Config) logf(format string, args ...any) {
 	if c.Logf != nil {
 		c.Logf(format, args...)

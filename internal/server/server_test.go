@@ -231,26 +231,36 @@ func TestSubmitToResult(t *testing.T) {
 	}
 }
 
-// TestSubmitSymbolicEnumerator: a job may pick the symbolic producer;
-// the served result matches the symbolic baseline (front, cursor, and
-// the producer's own scanned count).
+// TestSubmitSymbolicEnumerator: a job over more than 20 allocatable
+// units runs the symbolic enumerator, which the engine picks from the
+// unit count: the served front equals the sequential baseline, and the
+// scan visits far fewer than the 2^22 subsets the bitset scan would.
 func TestSubmitSymbolicEnumerator(t *testing.T) {
-	_, ts := newTestServer(t, Config{Lint: true})
-	id := submit(t, ts, `{"model": "settop", "workers": 1, "enumerator": "symbolic"}`)
+	sp := models.Synthetic(models.ScaledSynthetic(1, 22))
+	raw, err := sp.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{})
+	id := submit(t, ts, fmt.Sprintf(`{"spec": %s, "workers": 1}`, raw))
 	got := fetchResult(t, ts, id)
-	requireSameFront(t, got, core.Explore(models.SetTopBox(), core.Options{Enumerator: core.EnumeratorSymbolic}))
+	requireSameFront(t, got, core.Explore(sp, core.Options{}))
 	if got["reason"] != "completed" {
 		t.Errorf("reason = %v, want completed", got["reason"])
 	}
+	stats, _ := got["stats"].(map[string]any)
+	if n, _ := stats["scanned"].(float64); n <= 0 || n >= 1<<22 {
+		t.Errorf("stats.scanned = %v, want in (0, 2^22)", stats["scanned"])
+	}
 }
 
-// TestSubmitShardedProducers: a job may shard candidate production;
-// the served result matches the single-producer baseline (the merge is
-// bit-identical) and the result's pipeline stats report the shard
-// count actually used.
+// TestSubmitShardedProducers: a parallel job shards candidate
+// production on its own — min(workers, 4) producers — and the served
+// result matches the sequential front, with the result's pipeline stats
+// reporting the shard count actually used.
 func TestSubmitShardedProducers(t *testing.T) {
 	_, ts := newTestServer(t, Config{Lint: true})
-	id := submit(t, ts, `{"model": "settop", "workers": 1, "producers": 2}`)
+	id := submit(t, ts, `{"model": "settop", "workers": 2}`)
 	got := fetchResult(t, ts, id)
 	requireSameFront(t, got, core.Explore(models.SetTopBox(), core.Options{}))
 	if got["reason"] != "completed" {
@@ -326,10 +336,13 @@ func TestAdmissionRejections(t *testing.T) {
 		{"negative deadline", `{"model": "settop", "deadlineMs": -1}`, http.StatusBadRequest, CodeBadBudget},
 		{"deadline above cap", `{"model": "settop", "deadlineMs": 6000000}`, http.StatusBadRequest, CodeBadBudget},
 		{"negative cadence", `{"model": "settop", "checkpointEvery": -2}`, http.StatusBadRequest, CodeBadBudget},
-		{"negative batch", `{"model": "settop", "batch": -1}`, http.StatusBadRequest, CodeBadBudget},
-		{"negative producers", `{"model": "settop", "producers": -2}`, http.StatusBadRequest, CodeBadBudget},
 		{"unknown timing", `{"model": "settop", "timing": "edf"}`, http.StatusBadRequest, CodeBadBudget},
-		{"unknown enumerator", `{"model": "settop", "enumerator": "bdd"}`, http.StatusBadRequest, CodeBadBudget},
+		// The engine picks batch size, producer count and enumerator
+		// itself; the retired fields are unknown fields now.
+		{"negative batch", `{"model": "settop", "batch": -1}`, http.StatusBadRequest, CodeMalformed},
+		{"negative producers", `{"model": "settop", "producers": -2}`, http.StatusBadRequest, CodeMalformed},
+		{"unknown enumerator", `{"model": "settop", "enumerator": "bdd"}`, http.StatusBadRequest, CodeMalformed},
+		{"retired producers", `{"model": "settop", "workers": 2, "producers": 2}`, http.StatusBadRequest, CodeMalformed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
