@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/hgraph"
-	"repro/internal/lint"
 	"repro/internal/listsched"
 	"repro/internal/models"
 	"repro/internal/runopts"
@@ -115,7 +114,6 @@ func run() int {
 	flag.BoolVar(&fl.compare, "compare", false, "compare EXPLORE against exhaustive, random and EA baselines")
 	flag.BoolVar(&fl.verify, "verify", false, "re-verify every front implementation end to end (binding rules, schedules, activation rules)")
 	flag.BoolVar(&fl.family, "family", false, "product-family analysis of the front (entry costs, commonality, marginal costs)")
-	lintMode := flag.String("lint", "on", "preflight static analysis: on | off (see docs/lint-codes.md)")
 	flag.Parse()
 	fl.Visit(flag.CommandLine)
 	if probs := fl.problems(); len(probs) > 0 {
@@ -139,11 +137,8 @@ func run() int {
 	defer cancel()
 
 	s := models.SetTopBox()
-	if *lintMode != "off" {
-		if err := lint.Preflight(s, os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "casestudy:", err, "(rerun with -lint=off to explore anyway)")
-			return 1
-		}
+	if !fl.Preflight("casestudy", s) {
+		return 1
 	}
 	opts := fl.Core()
 

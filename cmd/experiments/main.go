@@ -1,9 +1,9 @@
 // Command experiments regenerates the complete evaluation of the
 // reproduction: every table and figure of the paper (experiments E1–E7,
 // E9–E11 as indexed in DESIGN.md) plus the scalability sweep (E8) and
-// the runtime extension (E12), printing paper-published values next to
-// freshly measured ones. EXPERIMENTS.md is the curated form of this
-// output.
+// the extensions beyond the paper (E12–E18), printing paper-published
+// values next to freshly measured ones. EXPERIMENTS.md is the curated
+// form of this output.
 //
 // Usage:
 //
@@ -31,38 +31,43 @@ type experiment struct {
 	run       func()
 }
 
-func main() {
-	only := flag.String("only", "", "run a single experiment (E1..E12)")
-	flag.Parse()
+// exps is the experiment table, in output order.
+var exps = []experiment{
+	{"E1", "Fig. 1 — decoder hierarchy & leaves", e1},
+	{"E2", "Fig. 2 — possible allocations of the decoder", e2},
+	{"E3", "Fig. 3 — flexibility worked example", e3},
+	{"E4", "Fig. 4 — flexibility/cost trade-off curve", e4},
+	{"E5", "Table 1 — possible mappings", e5},
+	{"E6", "§5 — Pareto-optimal set (headline)", e6},
+	{"E7", "§5 — search-space reduction", e7},
+	{"E8", "§4 — synthetic scalability sweep", e8},
+	{"E9", "§5 — worked feasibility analysis", e9},
+	{"E10", "footnote 2 — weighted flexibility", e10},
+	{"E11", "explorer comparison (EXPLORE vs baselines)", e11},
+	{"E12", "beyond the paper — runtime service level", e12},
+	{"E13", "beyond the paper — incremental platform upgrade", e13},
+	{"E14", "beyond the paper — second case study (SDR)", e14},
+	{"E15", "§4 — possible allocations as one boolean equation", e15},
+	{"E16", "beyond the paper — many objectives at once", e16},
+	{"E17", "beyond the paper — specification evolution", e17},
+	{"E18", "beyond the paper — product-family analysis", e18},
+}
 
-	exps := []experiment{
-		{"E1", "Fig. 1 — decoder hierarchy & leaves", e1},
-		{"E2", "Fig. 2 — possible allocations of the decoder", e2},
-		{"E3", "Fig. 3 — flexibility worked example", e3},
-		{"E4", "Fig. 4 — flexibility/cost trade-off curve", e4},
-		{"E5", "Table 1 — possible mappings", e5},
-		{"E6", "§5 — Pareto-optimal set (headline)", e6},
-		{"E7", "§5 — search-space reduction", e7},
-		{"E8", "§4 — synthetic scalability sweep", e8},
-		{"E9", "§5 — worked feasibility analysis", e9},
-		{"E10", "footnote 2 — weighted flexibility", e10},
-		{"E11", "explorer comparison (EXPLORE vs baselines)", e11},
-		{"E12", "beyond the paper — runtime service level", e12},
-		{"E13", "beyond the paper — incremental platform upgrade", e13},
-		{"E14", "beyond the paper — second case study (SDR)", e14},
-		{"E15", "§4 — possible allocations as one boolean equation", e15},
-		{"E16", "beyond the paper — many objectives at once", e16},
-		{"E17", "beyond the paper — specification evolution", e17},
-		{"E18", "beyond the paper — product-family analysis", e18},
-	}
+func main() {
+	only := flag.String("only", "", "run a single experiment (E1..E18)")
+	flag.Parse()
 	for _, e := range exps {
-		if *only != "" && !strings.EqualFold(*only, e.id) {
-			continue
+		if *only == "" || strings.EqualFold(*only, e.id) {
+			e.print()
 		}
-		fmt.Printf("==== %s: %s ====\n", e.id, e.title)
-		e.run()
-		fmt.Println()
 	}
+}
+
+// print runs the experiment under its header.
+func (e experiment) print() {
+	fmt.Printf("==== %s: %s ====\n", e.id, e.title)
+	e.run()
+	fmt.Println()
 }
 
 func e1() {

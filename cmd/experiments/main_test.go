@@ -1,28 +1,92 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+)
 
-// TestAllExperimentsRun smoke-tests every experiment function: each
-// must complete without panicking (their numeric assertions live in the
-// package test suites; this guards the regeneration binary itself).
+var update = flag.Bool("update", false, "rewrite testdata/experiments.golden")
+
+// TestAllExperimentsRun runs every experiment of the table and compares
+// the complete output with testdata/experiments.golden. The output is
+// deterministic, so the golden file pins every reported number — the
+// Upgrade (E13, E17) and multi-objective (E16) results included —
+// across refactorings of the engines behind them. Regenerate it with
+// go test ./cmd/experiments -update.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment regeneration skipped in -short mode")
 	}
-	funcs := map[string]func(){
-		"E1": e1, "E2": e2, "E3": e3, "E4": e4, "E5": e5, "E6": e6,
-		"E7": e7, "E8": e8, "E9": e9, "E10": e10, "E11": e11,
-		"E12": e12, "E13": e13, "E14": e14, "E15": e15, "E16": e16, "E17": e17,
-	}
-	for name, fn := range funcs {
-		name, fn := name, fn
-		t.Run(name, func(t *testing.T) {
+	var all bytes.Buffer
+	ran := 0
+	for _, e := range exps {
+		t.Run(e.id, func(t *testing.T) {
+			ran++
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("experiment %s panicked: %v", name, r)
+					t.Fatalf("experiment %s panicked: %v", e.id, r)
 				}
 			}()
-			fn()
+			all.Write(captureStdout(t, e.print))
 		})
 	}
+	if ran < len(exps) {
+		return // a -run filter selected a subset; there is no whole output to compare
+	}
+	golden := filepath.Join("testdata", "experiments.golden")
+	if *update {
+		if err := os.WriteFile(golden, all.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(all.Bytes(), want) {
+		t.Errorf("experiments output differs from %s (rerun with -update after an intended change):\n%s",
+			golden, firstDiff(all.Bytes(), want))
+	}
+}
+
+// captureStdout returns what fn prints on stdout.
+func captureStdout(t *testing.T, fn func()) []byte {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = saved }()
+	fn()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// firstDiff renders the first differing line of got and want.
+func firstDiff(got, want []byte) string {
+	g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl []byte
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if !bytes.Equal(gl, wl) {
+			return fmt.Sprintf("line %d:\n  got:  %s\n  want: %s", i+1, gl, wl)
+		}
+	}
+	return ""
 }

@@ -24,13 +24,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/hgraph"
-	"repro/internal/lint"
 	"repro/internal/models"
 	"repro/internal/runopts"
 	"repro/internal/spec"
@@ -45,6 +46,7 @@ type cliFlags struct {
 	objectives  string
 	upgradeFrom string
 	iters       int
+	stopAtMax   bool
 }
 
 // problems returns every reason the flag combination is rejected; a
@@ -71,6 +73,15 @@ func (f *cliFlags) problems() []string {
 			out = append(out, "-checkpoint is not supported with -objectives or -upgrade-from")
 		}
 	}
+	if f.objectives != "" && f.upgradeFrom != "" {
+		out = append(out, "-objectives and -upgrade-from are separate modes; pick one")
+	}
+	if (f.objectives != "" || f.upgradeFrom != "") && (f.algo != "explore" || f.Workers != 1) {
+		out = append(out, "-objectives and -upgrade-from run their own sequential cost-ordered scan; -algo and -workers do not apply")
+	}
+	if f.stopAtMax && f.objectives != "" {
+		out = append(out, "-stop-at-max does not apply to -objectives (there is no single flexibility bound)")
+	}
 	return out
 }
 
@@ -92,10 +103,9 @@ func run() int {
 	asJSON := flag.Bool("json", false, "emit the full result (front, behaviours, stats) as JSON")
 	flag.IntVar(&fl.iters, "iters", 1000, "iterations for -algo random")
 	seed := flag.Int64("seed", 1, "seed for random/ea explorers and synthetic models")
-	stopMax := flag.Bool("stop-at-max", false, "terminate when maximum flexibility is implemented")
+	flag.BoolVar(&fl.stopAtMax, "stop-at-max", false, "terminate when maximum flexibility is implemented")
 	flag.StringVar(&fl.objectives, "objectives", "", "comma-separated extra objectives beyond cost+1/flexibility: latency, or any resource attribute (e.g. power)")
 	flag.StringVar(&fl.upgradeFrom, "upgrade-from", "", "comma-separated deployed units; explore cost-ordered upgrades (supersets only)")
-	lintMode := flag.String("lint", "on", "preflight static analysis: on | off (see docs/lint-codes.md)")
 	flag.Parse()
 	fl.Visit(flag.CommandLine)
 	if probs := fl.problems(); len(probs) > 0 {
@@ -121,15 +131,17 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "explore:", err)
 		return 1
 	}
-	if *lintMode != "off" {
-		if err := lint.Preflight(s, os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "explore:", err, "(rerun with -lint=off to explore anyway)")
-			return 1
-		}
+	if !fl.Preflight("explore", s) {
+		return 1
+	}
+	base, err := upgradeBase(s, fl.upgradeFrom)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "explore:", err)
+		return 2
 	}
 
 	opts := fl.Core()
-	opts.StopAtMaxFlex = *stopMax
+	opts.StopAtMaxFlex = fl.stopAtMax
 
 	// A SIGINT cancels the scan instead of killing the process: the
 	// explorers return their prefix-exact partial front, a final
@@ -141,14 +153,7 @@ func run() int {
 		runMulti(ctx, s, opts, fl.objectives)
 		return 0
 	}
-	if fl.upgradeFrom != "" {
-		base := spec.Allocation{}
-		for _, id := range strings.Split(fl.upgradeFrom, ",") {
-			id = strings.TrimSpace(id)
-			if id != "" {
-				base[hgraph.ID(id)] = true
-			}
-		}
+	if base != nil {
 		r := core.UpgradeContext(ctx, s, base, opts)
 		fmt.Printf("upgrades of %v: %d Pareto-optimal extensions\n\n", base, len(r.Front))
 		fmt.Print(r.FrontTable(s.Problem.Root.ID))
@@ -262,6 +267,25 @@ func resumeArgs() []string {
 		out = append(out, fmt.Sprintf("-%s=%s", f.Name, f.Value))
 	})
 	return out
+}
+
+// upgradeBase parses -upgrade-from into the deployed allocation (nil
+// without the flag). Every ID must name an allocatable unit of s.
+func upgradeBase(s *spec.Spec, list string) (spec.Allocation, error) {
+	if list == "" {
+		return nil, nil
+	}
+	base, units := spec.Allocation{}, alloc.Units(s)
+	for _, id := range strings.Split(list, ",") {
+		switch id := hgraph.ID(strings.TrimSpace(id)); {
+		case id == "":
+		case !slices.ContainsFunc(units, func(u alloc.Unit) bool { return u.ID == id }):
+			return nil, fmt.Errorf("-upgrade-from: %q is not an allocatable unit of %q", id, s.Name)
+		default:
+			base[id] = true
+		}
+	}
+	return base, nil
 }
 
 func loadSpec(path, model string, seed int64) (*spec.Spec, error) {

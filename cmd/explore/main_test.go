@@ -32,6 +32,8 @@ func TestFlagValidationAccepts(t *testing.T) {
 		func(f *cliFlags) { f.model = "synthetic"; f.Explicit["seed"] = true },
 		func(f *cliFlags) { f.algo = "exhaustive"; f.Checkpoint = "ck.json"; f.Resume = true },
 		func(f *cliFlags) { f.algo = "ea"; f.Workers = 1; f.Explicit["workers"] = true },
+		func(f *cliFlags) { f.objectives = "latency,power" },
+		func(f *cliFlags) { f.upgradeFrom = "uP2"; f.stopAtMax = true },
 	}
 	for i, mutate := range cases {
 		f := baseFlags()
@@ -56,6 +58,11 @@ func TestFlagValidationRejects(t *testing.T) {
 		{func(f *cliFlags) { f.algo = "ea"; f.Checkpoint = "ck.json" }, "cost-ordered"},
 		{func(f *cliFlags) { f.Checkpoint = "ck.json"; f.objectives = "latency" }, "not supported"},
 		{func(f *cliFlags) { f.Checkpoint = "ck.json"; f.upgradeFrom = "CPU1" }, "not supported"},
+		{func(f *cliFlags) { f.objectives = "power"; f.upgradeFrom = "uP2" }, "separate modes"},
+		{func(f *cliFlags) { f.algo = "ea"; f.objectives = "power" }, "-algo and -workers do not apply"},
+		{func(f *cliFlags) { f.algo = "random"; f.upgradeFrom = "x" }, "-algo and -workers do not apply"},
+		{func(f *cliFlags) { f.objectives = "power"; f.Workers = 2; f.Explicit["workers"] = true }, "-algo and -workers do not apply"},
+		{func(f *cliFlags) { f.objectives = "power"; f.stopAtMax = true }, "-stop-at-max"},
 		// A shared rule still reaches explore's report.
 		{func(f *cliFlags) { f.Timing = "rtaa" }, "-timing"},
 	}
@@ -112,6 +119,26 @@ func TestLoadSpecErrors(t *testing.T) {
 	}
 	if _, err := loadSpec("/nonexistent.json", "", 0); err == nil {
 		t.Error("missing file should error")
+	}
+}
+
+// TestUpgradeBase: -upgrade-from names allocatable units only; an
+// unknown ID is rejected by name instead of riding along in every
+// upgrade.
+func TestUpgradeBase(t *testing.T) {
+	s, err := loadSpec("", "settop", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base, err := upgradeBase(s, ""); base != nil || err != nil {
+		t.Errorf("no flag: base %v, err %v", base, err)
+	}
+	base, err := upgradeBase(s, "uP2, C1")
+	if err != nil || base.String() != "{C1 uP2}" {
+		t.Errorf("uP2,C1: base %v, err %v", base, err)
+	}
+	if _, err := upgradeBase(s, "uP2,nosuchunit"); err == nil || !strings.Contains(err.Error(), "nosuchunit") {
+		t.Errorf("unknown unit: err %v, want one naming nosuchunit", err)
 	}
 }
 

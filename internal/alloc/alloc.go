@@ -220,40 +220,44 @@ func Enumerate(s *spec.Spec, opts Options, fn func(Candidate) bool) Stats {
 // range-partitioned scan replays its prefix at raw scan speed, paying
 // the map allocation only for candidates actually delivered to fn.
 func EnumerateRange(s *spec.Spec, opts Options, start int, fn func(Candidate) bool) Stats {
-	env := newScanEnv(s)
-	n := env.n
+	return newScanEnv(s, nil).scan(opts, start, fn)
+}
+
+// EnumerateExtensions generates possible resource allocations that are
+// supersets of base, in nondecreasing total cost, and passes each to fn
+// until fn returns false. It supports incremental platform design: the
+// deployed allocation is never shrunk, only extended. base itself is
+// the first candidate when it is possible.
+//
+// It is Enumerate's scan over the units outside base: the equal-cost
+// tie-break compares indices among those units, Scanned and
+// SearchSpace count their subsets, and the base's resources and buses
+// take part in every possibility and useless-bus test.
+func EnumerateExtensions(s *spec.Spec, base spec.Allocation, opts Options, fn func(Candidate) bool) Stats {
+	return newScanEnv(s, base).scan(opts, 0, fn)
+}
+
+// scan is the cost-ordered heap walk behind Enumerate and
+// EnumerateExtensions: the base alone first (its extend child is the
+// first walked unit), then every subset of the walked units in
+// nondecreasing cost.
+func (e *scanEnv) scan(opts Options, start int, fn func(Candidate) bool) Stats {
+	n := e.n
 	stats := Stats{SearchSpace: SearchSpace(n)}
-
-	sc := env.newScratch()
+	sc := e.newScratch()
 	pool := sync.Pool{New: func() any { return &subset{bits: bitset.New(n)} }}
-
-	h := &subsetHeap{}
-	if n > 0 {
-		first := pool.Get().(*subset)
-		first.cost = env.units[0].Cost
-		first.idx = append(first.idx[:0], 0)
-		first.bits.Clear()
-		first.bits.Add(0)
-		heap.Push(h, first)
-	}
-	// The empty allocation is scanned first (never possible for a
-	// problem graph with vertices, but counted for fidelity).
-	stats.Scanned++
-	if sc.rootSupportable(nil) {
-		stats.Possible++
-		if stats.Possible > start && !fn(Candidate{Allocation: spec.Allocation{}, Cost: 0}) {
-			return stats
-		}
-	}
+	h := &subsetHeap{pool.Get().(*subset)}
 	for h.Len() > 0 {
 		if opts.MaxScan > 0 && stats.Scanned >= opts.MaxScan {
 			break
 		}
 		cur := heap.Pop(h).(*subset)
 		stats.Scanned++
-		if m := cur.idx[len(cur.idx)-1]; m+1 < n {
-			heap.Push(h, env.child(&pool, cur, false))
-			heap.Push(h, env.child(&pool, cur, true))
+		if m := cur.next(); m < n {
+			heap.Push(h, e.child(&pool, cur, false))
+			if m > 0 {
+				heap.Push(h, e.child(&pool, cur, true))
+			}
 		}
 		switch {
 		case !opts.IncludeUselessComm && sc.uselessComm(cur):
@@ -265,11 +269,14 @@ func EnumerateRange(s *spec.Spec, opts Options, start int, fn func(Candidate) bo
 				// Before the range: counted, never materialized.
 				break
 			}
-			a := make(spec.Allocation, len(cur.idx))
-			for _, k := range cur.idx {
-				a[env.units[k].ID] = true
+			a := make(spec.Allocation, len(e.base)+len(cur.idx))
+			for id := range e.base {
+				a[id] = true
 			}
-			if !fn(Candidate{Allocation: a, Cost: cur.cost}) {
+			for _, k := range cur.idx {
+				a[e.units[k].ID] = true
+			}
+			if !fn(Candidate{Allocation: a, Cost: e.baseCost + cur.cost}) {
 				pool.Put(cur)
 				return stats
 			}
@@ -280,40 +287,80 @@ func EnumerateRange(s *spec.Spec, opts Options, start int, fn func(Candidate) bo
 }
 
 // scanEnv is the read-only state shared by every walker of a bitset
-// scan: the cost-ordered unit universe, each unit's leaf-resource set,
-// the bus-adjacency bitsets for the useless-bus rule, and the
-// Supporter. It is built once per enumeration and is safe for any
-// number of concurrent readers; all mutable scan state lives in
-// per-goroutine scanScratch values.
+// scan: the cost-ordered universe of walked units (every unit, or
+// those outside an extension scan's base), each unit's leaf-resource
+// set, the bus tests of the useless-bus rule, and the Supporter. It is
+// built once per enumeration and is safe for any number of concurrent
+// readers; all mutable scan state lives in per-goroutine scanScratch
+// values.
 type scanEnv struct {
 	units []Unit
 	n     int
 	sup   *Supporter
-	// unitRes[k]: leaf resources unit k provides. commAdjBits[k]: for a
-	// bus unit, the unit indices it touches (nil for functional units).
-	unitRes     []bitset.Set
-	commAdjBits []bitset.Set
+	// unitRes[k]: leaf resources unit k provides. buses[k]: the bus
+	// test of a bus unit (zero for functional units).
+	unitRes []bitset.Set
+	buses   []busTest
+	// base is the allocation every candidate extends (nil for the full
+	// scan): baseRes its resources, baseCost its unit cost, baseBuses
+	// the bus tests of its buses.
+	base      spec.Allocation
+	baseRes   bitset.Set
+	baseCost  float64
+	baseBuses []busTest
 }
 
-func newScanEnv(s *spec.Spec) *scanEnv {
-	units := Units(s)
-	n := len(units)
-	env := &scanEnv{units: units, n: n, sup: NewSupporter(s)}
-	env.unitRes = make([]bitset.Set, n)
-	env.commAdjBits = make([]bitset.Set, n)
-	pos := make(map[hgraph.ID]int, n)
-	for k, u := range units {
-		pos[u.ID] = k
+// busTest is the useless-bus rule for one bus: it needs two allocated
+// adjacent functional units, counting inBase adjacent base units plus
+// the walked units in adj.
+type busTest struct {
+	adj    bitset.Set
+	inBase int
+}
+
+func (b busTest) useless(bits bitset.Set) bool {
+	return b.inBase+b.adj.IntersectionCount(bits) < 2
+}
+
+func newScanEnv(s *spec.Spec, base spec.Allocation) *scanEnv {
+	all := Units(s)
+	env := &scanEnv{sup: NewSupporter(s), base: base, units: make([]Unit, 0, len(all))}
+	if base != nil {
+		env.baseRes = env.sup.AvailOf(base)
 	}
-	adj := commAdjacency(s, units)
-	for k, u := range units {
+	pos := make(map[hgraph.ID]int, len(all))
+	for _, u := range all {
+		if base[u.ID] {
+			env.baseCost += u.Cost
+			continue
+		}
+		pos[u.ID] = len(env.units)
+		env.units = append(env.units, u)
+	}
+	env.n = len(env.units)
+	adj := commAdjacency(s, all)
+	busOf := func(id hgraph.ID) busTest {
+		b := busTest{adj: bitset.New(env.n)}
+		for other := range adj[id] {
+			if base[other] {
+				b.inBase++
+			} else {
+				b.adj.Add(pos[other])
+			}
+		}
+		return b
+	}
+	env.unitRes = make([]bitset.Set, env.n)
+	env.buses = make([]busTest, env.n)
+	for k, u := range env.units {
 		env.unitRes[k] = env.sup.provides[u.ID]
 		if u.Comm {
-			bs := bitset.New(n)
-			for other := range adj[u.ID] {
-				bs.Add(pos[other])
-			}
-			env.commAdjBits[k] = bs
+			env.buses[k] = busOf(u.ID)
+		}
+	}
+	for _, u := range all {
+		if u.Comm && base[u.ID] {
+			env.baseBuses = append(env.baseBuses, busOf(u.ID))
 		}
 	}
 	return env
@@ -337,9 +384,10 @@ func (e *scanEnv) newScratch() *scanScratch {
 }
 
 // rootSupportable is the possibility test (rule 4: root
-// supportability) for the subset with the given unit indices.
+// supportability) for the base plus the walked units idx.
 func (sc *scanScratch) rootSupportable(idx []int) bool {
 	sc.avail.Clear()
+	sc.avail.UnionWith(sc.env.baseRes)
 	for _, k := range idx {
 		sc.avail.UnionWith(sc.env.unitRes[k])
 	}
@@ -349,11 +397,16 @@ func (sc *scanScratch) rootSupportable(idx []int) bool {
 	return sc.env.sup.supportableFrom(sc.env.sup.root, sc.avail, sc.memo)
 }
 
-// uselessComm applies the useless-bus rule: true when the subset
-// contains a bus connecting fewer than two allocated units.
+// uselessComm applies the useless-bus rule: true when the base plus
+// the subset contains a bus connecting fewer than two allocated units.
 func (sc *scanScratch) uselessComm(cur *subset) bool {
+	for _, b := range sc.env.baseBuses {
+		if b.useless(cur.bits) {
+			return true
+		}
+	}
 	for _, k := range cur.idx {
-		if sc.env.units[k].Comm && sc.env.commAdjBits[k].IntersectionCount(cur.bits) < 2 {
+		if sc.env.units[k].Comm && sc.env.buses[k].useless(cur.bits) {
 			return true
 		}
 	}
@@ -364,7 +417,7 @@ func (sc *scanScratch) uselessComm(cur *subset) bool {
 // swaps the last unit m for m+1 (each subset generated exactly once).
 // The node comes from pool, so walkers recycle nodes without sharing.
 func (e *scanEnv) child(pool *sync.Pool, cur *subset, replace bool) *subset {
-	m := cur.idx[len(cur.idx)-1]
+	m := cur.next() - 1
 	c := pool.Get().(*subset)
 	c.idx = append(c.idx[:0], cur.idx...)
 	c.bits.Clear()
@@ -405,12 +458,20 @@ func SearchSpace(n int) float64 {
 }
 
 // subset is a heap node: unit indices (sorted ascending), the same
-// subset as a dense bitset over the unit universe (nil on the extension
-// enumerator's nodes, which never consult it), and total cost.
+// subset as a dense bitset over the unit universe, and total cost.
 type subset struct {
 	cost float64
 	idx  []int
 	bits bitset.Set
+}
+
+// next returns the unit index after cur's last one (0 for the empty
+// subset).
+func (c *subset) next() int {
+	if len(c.idx) == 0 {
+		return 0
+	}
+	return c.idx[len(c.idx)-1] + 1
 }
 
 type subsetHeap []*subset
@@ -489,25 +550,4 @@ func commAdjacency(s *spec.Spec, units []Unit) map[hgraph.ID]map[hgraph.ID]bool 
 		}
 	}
 	return adj
-}
-
-// hasUselessComm reports whether the allocation contains a bus unit
-// that connects fewer than two allocated functional units.
-func hasUselessComm(units []Unit, idx []int, a spec.Allocation, adj map[hgraph.ID]map[hgraph.ID]bool) bool {
-	for _, k := range idx {
-		u := units[k]
-		if !u.Comm {
-			continue
-		}
-		n := 0
-		for other := range adj[u.ID] {
-			if a[other] {
-				n++
-			}
-		}
-		if n < 2 {
-			return true
-		}
-	}
-	return false
 }

@@ -299,87 +299,173 @@ func BenchmarkPossible(b *testing.B) {
 	}
 }
 
+// bruteForce lists, by exhaustive enumeration of the unit subsets, the
+// possible allocations extending base in the scan's order: every
+// subset of the units outside base, joined with base and filtered
+// through the map-based references (Possible, hasUselessComm). The
+// order is the cost order with the scan's tie-break: the empty subset
+// first, then repeatedly the least subset (subsetHeap.Less on the
+// indices among the units outside base) whose parent in the
+// extend/replace tree has been listed.
+func bruteForce(s *spec.Spec, base spec.Allocation, includeUselessComm bool) []Candidate {
+	all := Units(s)
+	adj := commAdjacency(s, all)
+	var free []Unit
+	baseCost := 0.0
+	for _, u := range all {
+		if base[u.ID] {
+			baseCost += u.Cost
+		} else {
+			free = append(free, u)
+		}
+	}
+	nodes := make(subsetHeap, 1<<len(free))
+	for mask := range nodes {
+		nodes[mask] = &subset{}
+		for k, u := range free {
+			if mask>>k&1 == 1 {
+				nodes[mask].idx = append(nodes[mask].idx, k)
+				nodes[mask].cost += u.Cost
+			}
+		}
+	}
+	// parent returns the mask of the subset mask's tree parent.
+	parent := func(mask int) int {
+		idx := nodes[mask].idx
+		last := idx[len(idx)-1]
+		if len(idx) > 1 && idx[len(idx)-2] == last-1 || last == 0 {
+			return mask &^ (1 << last) // extend child (the root {0} extends the empty subset)
+		}
+		return mask&^(1<<last) | 1<<(last-1) // replace child
+	}
+	order := []int{0}
+	listed := map[int]bool{0: true}
+	for len(order) < len(nodes) {
+		next := -1
+		for mask := range nodes {
+			if !listed[mask] && listed[parent(mask)] && (next < 0 || nodes.Less(mask, next)) {
+				next = mask
+			}
+		}
+		order = append(order, next)
+		listed[next] = true
+	}
+	var out []Candidate
+	for _, mask := range order {
+		a := base.Clone()
+		for _, k := range nodes[mask].idx {
+			a[free[k].ID] = true
+		}
+		var idx []int
+		for k, u := range all {
+			if a[u.ID] {
+				idx = append(idx, k)
+			}
+		}
+		if !includeUselessComm && hasUselessComm(all, idx, a, adj) || !Possible(s, a) {
+			continue
+		}
+		out = append(out, Candidate{Allocation: a, Cost: baseCost + nodes[mask].cost})
+	}
+	return out
+}
+
+// testBases are the deployed allocations the scan tests extend: none
+// (the full enumeration), the processor, and an impossible base that
+// only its extensions with uP make possible.
+var testBases = []spec.Allocation{nil, spec.NewAllocation("uP"), spec.NewAllocation("A", "C2")}
+
+// enumerateFrom runs the scan extending base (Enumerate for nil).
+func enumerateFrom(s *spec.Spec, base spec.Allocation, opts Options, fn func(Candidate) bool) Stats {
+	if base == nil {
+		return Enumerate(s, opts, fn)
+	}
+	return EnumerateExtensions(s, base, opts, fn)
+}
+
 // TestEnumerateAgainstBruteForce: the bitset-native possibility and
-// useless-bus tests inside Enumerate agree with the exported map-based
+// useless-bus tests inside the scan agree with the exported map-based
 // references (Possible, hasUselessComm) on every one of the 2^n unit
-// subsets of the Fig. 2 model, with and without the bus pruning — the
-// two code paths may never drift apart.
+// subsets of the Fig. 2 model, with and without the bus pruning and
+// with and without a base to extend — the code paths may never drift
+// apart.
 func TestEnumerateAgainstBruteForce(t *testing.T) {
 	s := buildFig2(t)
-	units := Units(s)
-	adj := commAdjacency(s, units)
-	for _, include := range []bool{true, false} {
-		want := map[string]float64{}
-		for mask := 0; mask < 1<<len(units); mask++ {
-			a := spec.Allocation{}
-			var idx []int
-			cost := 0.0
-			for k, u := range units {
-				if mask>>k&1 == 1 {
-					a[u.ID] = true
-					idx = append(idx, k)
-					cost += u.Cost
+	for _, base := range testBases {
+		for _, include := range []bool{true, false} {
+			want := map[string]float64{}
+			for _, c := range bruteForce(s, base, include) {
+				want[c.Allocation.String()] = c.Cost
+			}
+			got := map[string]float64{}
+			enumerateFrom(s, base, Options{IncludeUselessComm: include}, func(c Candidate) bool {
+				got[c.Allocation.String()] = c.Cost
+				return true
+			})
+			if len(got) != len(want) {
+				t.Fatalf("base=%v include=%v: enumerated %d candidates, brute force says %d",
+					base, include, len(got), len(want))
+			}
+			for k, cost := range want {
+				if gc, ok := got[k]; !ok || gc != cost {
+					t.Errorf("base=%v include=%v: %s missing or cost %v != %v", base, include, k, gc, cost)
 				}
-			}
-			if !include && hasUselessComm(units, idx, a, adj) {
-				continue
-			}
-			if Possible(s, a) {
-				want[a.String()] = cost
-			}
-		}
-		got := map[string]float64{}
-		Enumerate(s, Options{IncludeUselessComm: include}, func(c Candidate) bool {
-			got[c.Allocation.String()] = c.Cost
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("include=%v: enumerated %d candidates, brute force says %d",
-				include, len(got), len(want))
-		}
-		for k, cost := range want {
-			if gc, ok := got[k]; !ok || gc != cost {
-				t.Errorf("include=%v: %s missing or cost %v != %v", include, k, gc, cost)
 			}
 		}
 	}
 }
 
-// TestEnumerateRangeSuffix: EnumerateRange(start) delivers exactly the
-// suffix of the full enumeration from the start-th possible candidate,
-// with identical statistics — the skipped prefix is still scanned and
-// counted, just never materialized.
+// TestEnumerateRangeSuffix: the scan emits the brute-force stream of
+// possible extensions of its base in order, and EnumerateRange(start)
+// delivers exactly the suffix of the full enumeration from the
+// start-th possible candidate, with identical statistics — the skipped
+// prefix is still scanned and counted, just never materialized.
 func TestEnumerateRangeSuffix(t *testing.T) {
 	s := buildFig2(t)
-	var all []Candidate
-	full := Enumerate(s, Options{}, func(c Candidate) bool {
-		all = append(all, Candidate{Allocation: c.Allocation.Clone(), Cost: c.Cost})
-		return true
-	})
-	if len(all) < 3 {
-		t.Fatalf("model too small: %d possible", len(all))
-	}
-	for _, start := range []int{0, 1, len(all) / 2, len(all) - 1, len(all), len(all) + 5} {
-		var got []Candidate
-		st := EnumerateRange(s, Options{}, start, func(c Candidate) bool {
-			got = append(got, Candidate{Allocation: c.Allocation.Clone(), Cost: c.Cost})
+	for _, base := range testBases {
+		var all []Candidate
+		full := enumerateFrom(s, base, Options{}, func(c Candidate) bool {
+			all = append(all, Candidate{Allocation: c.Allocation.Clone(), Cost: c.Cost})
 			return true
 		})
-		if st != full {
-			t.Errorf("start=%d: stats %+v != full scan's %+v", start, st, full)
+		want := bruteForce(s, base, false)
+		if len(all) != len(want) {
+			t.Fatalf("base=%v: %d candidates, brute force says %d", base, len(all), len(want))
 		}
-		wantLen := len(all) - start
-		if wantLen < 0 {
-			wantLen = 0
+		for i, c := range all {
+			if c.Cost != want[i].Cost || !c.Allocation.Equal(want[i].Allocation) {
+				t.Errorf("base=%v, item %d: %v ($%g) != brute force %v ($%g)",
+					base, i, c.Allocation, c.Cost, want[i].Allocation, want[i].Cost)
+			}
 		}
-		if len(got) != wantLen {
-			t.Fatalf("start=%d: %d candidates, want %d", start, len(got), wantLen)
+		if base != nil {
+			continue
 		}
-		for i, c := range got {
-			want := all[start+i]
-			if c.Cost != want.Cost || !c.Allocation.Equal(want.Allocation) {
-				t.Errorf("start=%d, item %d: %v ($%g) != %v ($%g)",
-					start, i, c.Allocation, c.Cost, want.Allocation, want.Cost)
+		if len(all) < 3 {
+			t.Fatalf("model too small: %d possible", len(all))
+		}
+		for _, start := range []int{0, 1, len(all) / 2, len(all) - 1, len(all), len(all) + 5} {
+			var got []Candidate
+			st := EnumerateRange(s, Options{}, start, func(c Candidate) bool {
+				got = append(got, Candidate{Allocation: c.Allocation.Clone(), Cost: c.Cost})
+				return true
+			})
+			if st != full {
+				t.Errorf("start=%d: stats %+v != full scan's %+v", start, st, full)
+			}
+			wantLen := len(all) - start
+			if wantLen < 0 {
+				wantLen = 0
+			}
+			if len(got) != wantLen {
+				t.Fatalf("start=%d: %d candidates, want %d", start, len(got), wantLen)
+			}
+			for i, c := range got {
+				want := all[start+i]
+				if c.Cost != want.Cost || !c.Allocation.Equal(want.Allocation) {
+					t.Errorf("start=%d, item %d: %v ($%g) != %v ($%g)",
+						start, i, c.Allocation, c.Cost, want.Allocation, want.Cost)
+				}
 			}
 		}
 	}
@@ -397,4 +483,26 @@ func TestEnumerateRangeEarlyStop(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("callback ran %d times after stop, want 1", n)
 	}
+}
+
+// hasUselessComm is the map-based reference of the useless-bus rule:
+// whether the allocation contains a bus unit that connects fewer than
+// two allocated functional units.
+func hasUselessComm(units []Unit, idx []int, a spec.Allocation, adj map[hgraph.ID]map[hgraph.ID]bool) bool {
+	for _, k := range idx {
+		u := units[k]
+		if !u.Comm {
+			continue
+		}
+		n := 0
+		for other := range adj[u.ID] {
+			if a[other] {
+				n++
+			}
+		}
+		if n < 2 {
+			return true
+		}
+	}
+	return false
 }

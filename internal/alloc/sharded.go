@@ -402,7 +402,7 @@ func EnumerateSharded(s *spec.Spec, opts Options, producers int, fn func(Candida
 // producer still runs the full walker/merge machinery (that overhead
 // staying within noise of the direct path is benchmarked and gated).
 func EnumerateShardedRange(s *spec.Spec, opts Options, producers, start int, fn func(Candidate) bool) Stats {
-	env := newScanEnv(s)
+	env := newScanEnv(s, nil)
 	n := env.n
 	p := producers
 	if p > n {

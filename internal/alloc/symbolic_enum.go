@@ -71,8 +71,9 @@ func EnumerateSymbolicRange(s *spec.Spec, opts Options, start int, fn func(Candi
 
 // commConstraint encodes the useless-bus rule as a BDD: every allocated
 // bus unit must connect at least two allocated functional units — the
-// same adjacency and threshold the bitset scan tests per subset with
-// hasUselessComm, here conjoined once into the characteristic function.
+// same adjacency and threshold the bitset scan tests per subset
+// (scanScratch.uselessComm), here conjoined once into the
+// characteristic function.
 func commConstraint(s *spec.Spec, m *boolfunc.Manager, units []Unit) *boolfunc.Node {
 	pos := make(map[hgraph.ID]int, len(units))
 	for k, u := range units {

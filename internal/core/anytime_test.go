@@ -20,25 +20,87 @@ import (
 // an exploration interrupted with Cursor == k must return exactly this
 // front.
 func prefixFront(s *spec.Spec, opts Options, k int) []*Implementation {
+	return prefixFrontOf(s, nil, opts, k)
+}
+
+// prefixFrontOf is prefixFront over the cost-ordered extensions of
+// base (nil: every possible allocation), folding only implementations
+// more flexible than the base's own — the ground truth of Upgrade.
+func prefixFrontOf(s *spec.Spec, base spec.Allocation, opts Options, k int) []*Implementation {
+	floor := 0.0
+	if base != nil {
+		if im := Implement(s, base, opts, nil); im != nil {
+			floor = im.Flexibility
+		}
+	}
 	front := &pareto.Front{}
 	idx := 0
-	alloc.Enumerate(s, alloc.Options{
-		IncludeUselessComm: opts.IncludeUselessComm,
-		MaxScan:            opts.MaxScan,
-	}, func(c alloc.Candidate) bool {
+	fold := func(c alloc.Candidate) bool {
 		if idx >= k {
 			return false
 		}
 		idx++
-		if im := Implement(s, c.Allocation, opts, nil); im != nil {
+		if im := Implement(s, c.Allocation, opts, nil); im != nil && im.Flexibility > floor {
 			front.Add(&pareto.Entry{
 				Objectives: pareto.CostFlexObjectives(im.Cost, im.Flexibility),
 				Value:      im,
 			})
 		}
 		return true
-	})
+	}
+	ao := alloc.Options{IncludeUselessComm: opts.IncludeUselessComm, MaxScan: opts.MaxScan}
+	if base != nil {
+		alloc.EnumerateExtensions(s, base, ao, fold)
+	} else {
+		alloc.Enumerate(s, ao, fold)
+	}
 	return frontToImplementations(front)
+}
+
+// scanKind is one of the cost-ordered scans that share the sequential
+// driver, seen through a Result: Explore, Upgrade of a deployed
+// processor, and ExploreMulti under the paper's two objectives (whose
+// front is Explore's).
+type scanKind struct {
+	name string
+	run  func(ctx context.Context, s *spec.Spec, opts Options) *Result
+	// base is the allocation the scan's candidates extend (nil: all).
+	base func(s *spec.Spec) spec.Allocation
+}
+
+// upgradeBase is the deployed platform of the upgrade kind: the
+// processor uP2, or uP on the decoder, which has only that one.
+func upgradeBase(s *spec.Spec) spec.Allocation {
+	if s.Arch.VertexByID("uP2") != nil {
+		return spec.NewAllocation("uP2")
+	}
+	return spec.NewAllocation("uP")
+}
+
+var scanKinds = []scanKind{
+	{"explore", ExploreContext, func(*spec.Spec) spec.Allocation { return nil }},
+	{"upgrade", func(ctx context.Context, s *spec.Spec, opts Options) *Result {
+		return UpgradeContext(ctx, s, upgradeBase(s), opts)
+	}, upgradeBase},
+	{"multi", func(ctx context.Context, s *spec.Spec, opts Options) *Result {
+		m := ExploreMultiContext(ctx, s, opts, nil)
+		return &Result{Front: m.Front, Interrupted: m.Interrupted, Reason: m.Reason, Cursor: m.Cursor, Stats: m.Stats}
+	}, func(*spec.Spec) spec.Allocation { return nil }},
+}
+
+// cancelAt runs ExploreContext with a fault-injected cancellation at
+// candidate index k — the deterministic stand-in for SIGINT/deadline.
+func cancelAt(s *spec.Spec, opts Options, k int) *Result {
+	return scanKinds[0].cancelAt(s, opts, k)
+}
+
+// cancelAt runs the scan with a fault-injected cancellation at
+// candidate index k.
+func (kind scanKind) cancelAt(s *spec.Spec, opts Options, k int) *Result {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts.Fault = faultinject.New().CancelAt(SiteEstimate, k).Bind(cancel)
+	return kind.run(ctx, s, opts)
 }
 
 func frontsEqual(a, b []*Implementation) bool {
@@ -52,15 +114,6 @@ func frontsEqual(a, b []*Implementation) bool {
 		}
 	}
 	return true
-}
-
-// cancelAt runs ExploreContext with a fault-injected cancellation at
-// candidate index k — the deterministic stand-in for SIGINT/deadline.
-func cancelAt(s *spec.Spec, opts Options, k int) *Result {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opts.Fault = faultinject.New().CancelAt(SiteEstimate, k).Bind(cancel)
-	return ExploreContext(ctx, s, opts)
 }
 
 func TestExploreCancelledImmediately(t *testing.T) {
@@ -86,21 +139,24 @@ func TestExploreDeadlineReason(t *testing.T) {
 
 // TestAnytimePrefixInvariant: a scan cancelled at candidate k returns
 // Cursor == k and exactly the Pareto front of the first k candidates —
-// the paper's cost-ordering argument, now load-bearing for anytime use.
+// the paper's cost-ordering argument, now load-bearing for anytime use
+// — for every scan kind of the shared driver.
 func TestAnytimePrefixInvariant(t *testing.T) {
 	s := models.SetTopBox()
-	for _, k := range []int{1, 7, 50, 200} {
-		r := cancelAt(s, Options{}, k)
-		if !r.Interrupted || r.Reason != ReasonCancelled {
-			t.Fatalf("k=%d: interrupted=%v reason=%q", k, r.Interrupted, r.Reason)
-		}
-		if r.Cursor != k {
-			t.Fatalf("k=%d: cursor=%d", k, r.Cursor)
-		}
-		want := prefixFront(s, Options{}, k)
-		if !frontsEqual(r.Front, want) {
-			t.Errorf("k=%d: partial front (%d entries) is not the Pareto set of the prefix (%d entries)",
-				k, len(r.Front), len(want))
+	for _, kind := range scanKinds {
+		for _, k := range []int{1, 7, 50, 200} {
+			r := kind.cancelAt(s, Options{}, k)
+			if !r.Interrupted || r.Reason != ReasonCancelled {
+				t.Fatalf("%s k=%d: interrupted=%v reason=%q", kind.name, k, r.Interrupted, r.Reason)
+			}
+			if r.Cursor != k {
+				t.Fatalf("%s k=%d: cursor=%d", kind.name, k, r.Cursor)
+			}
+			want := prefixFrontOf(s, kind.base(s), Options{}, k)
+			if !frontsEqual(r.Front, want) {
+				t.Errorf("%s k=%d: partial front (%d entries) is not the Pareto set of the prefix (%d entries)",
+					kind.name, k, len(r.Front), len(want))
+			}
 		}
 	}
 }
@@ -125,10 +181,10 @@ func TestProgressPrefixInvariant(t *testing.T) {
 	}
 }
 
-// TestResumeEquivalence (acceptance): on each model, an exploration
-// interrupted mid-scan and resumed from its own partial result matches
-// the uninterrupted run bit-for-bit — fronts and effort counters — for
-// both the sequential and the parallel explorer.
+// TestResumeEquivalence (acceptance): on each model, a scan of each
+// kind interrupted mid-scan and resumed from its own partial result
+// matches the uninterrupted run bit-for-bit — fronts and effort
+// counters — and so does the parallel explorer's.
 func TestResumeEquivalence(t *testing.T) {
 	synth := models.Synthetic(models.SyntheticParams{
 		Seed: 1, Apps: 2, Depth: 1, Branch: 2, Vertices: 2,
@@ -144,31 +200,38 @@ func TestResumeEquivalence(t *testing.T) {
 		{"synthetic", synth},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			full := Explore(tc.s, Options{})
-			k := full.Stats.PossibleAllocations / 2
-			if k == 0 {
-				k = 1
-			}
-			part := cancelAt(tc.s, Options{}, k)
-			if !part.Interrupted || part.Cursor != k {
-				t.Fatalf("interrupt failed: interrupted=%v cursor=%d", part.Interrupted, part.Cursor)
-			}
-			res := &Resume{Cursor: part.Cursor, Front: part.Front, Stats: part.Stats}
+			var res *Resume
+			var full *Result
+			for _, kind := range scanKinds {
+				kfull := kind.run(context.Background(), tc.s, Options{})
+				k := kfull.Stats.PossibleAllocations / 2
+				if k == 0 {
+					k = 1
+				}
+				part := kind.cancelAt(tc.s, Options{}, k)
+				if !part.Interrupted || part.Cursor != k {
+					t.Fatalf("%s: interrupt failed: interrupted=%v cursor=%d", kind.name, part.Interrupted, part.Cursor)
+				}
+				kres := &Resume{Cursor: part.Cursor, Front: part.Front, Stats: part.Stats}
 
-			resumed := Explore(tc.s, Options{Resume: res})
-			if !frontsEqual(resumed.Front, full.Front) {
-				t.Errorf("resumed sequential front differs from uninterrupted run")
-			}
-			if resumed.Interrupted || resumed.Reason != ReasonCompleted {
-				t.Errorf("resumed run: interrupted=%v reason=%q", resumed.Interrupted, resumed.Reason)
-			}
-			// Semantic counters (scanned, estimated, attempted,
-			// feasible, ...) continue exactly across the resume; solver
-			// effort and cache counters do not — the resumed run restarts
-			// with a cold evaluation cache, so it redoes binding work the
-			// warm uninterrupted run avoided.
-			if !reflect.DeepEqual(resumed.Stats.Semantic(), full.Stats.Semantic()) {
-				t.Errorf("resumed stats %+v\n  differ from uninterrupted %+v", resumed.Stats, full.Stats)
+				resumed := kind.run(context.Background(), tc.s, Options{Resume: kres})
+				if !frontsEqual(resumed.Front, kfull.Front) {
+					t.Errorf("%s: resumed sequential front differs from uninterrupted run", kind.name)
+				}
+				if resumed.Interrupted || resumed.Reason != ReasonCompleted {
+					t.Errorf("%s: resumed run: interrupted=%v reason=%q", kind.name, resumed.Interrupted, resumed.Reason)
+				}
+				// Semantic counters (scanned, estimated, attempted,
+				// feasible, ...) continue exactly across the resume;
+				// solver effort and cache counters do not — the resumed
+				// run restarts with a cold evaluation cache, so it redoes
+				// binding work the warm uninterrupted run avoided.
+				if !reflect.DeepEqual(resumed.Stats.Semantic(), kfull.Stats.Semantic()) {
+					t.Errorf("%s: resumed stats %+v\n  differ from uninterrupted %+v", kind.name, resumed.Stats, kfull.Stats)
+				}
+				if kind.name == "explore" {
+					full, res = kfull, kres
+				}
 			}
 
 			par := ExploreParallel(tc.s, Options{}, 4, 8)
@@ -360,24 +423,21 @@ func TestParallelPanicEveryCandidate(t *testing.T) {
 }
 
 // TestInjectedErrorSkipsCandidate: an injected (non-panic) estimation
-// error is recorded and the candidate skipped, sequentially and in
-// parallel.
+// error is recorded and the candidate skipped, by every scan kind and
+// by the parallel explorer.
 func TestInjectedErrorSkipsCandidate(t *testing.T) {
 	s := models.Decoder()
-	for _, parallel := range []bool{false, true} {
+	parallel := scanKind{"parallel", func(ctx context.Context, s *spec.Spec, opts Options) *Result {
+		return ExploreParallelContext(ctx, s, opts, 4, 8)
+	}, nil}
+	for _, kind := range append(scanKinds, parallel) {
 		plan := faultinject.New().ErrorAt(SiteEstimate, 0, nil)
-		opts := Options{Fault: plan}
-		var r *Result
-		if parallel {
-			r = ExploreParallel(s, opts, 4, 8)
-		} else {
-			r = Explore(s, opts)
-		}
+		r := kind.run(context.Background(), s, Options{Fault: plan})
 		if len(r.Stats.Diags) != 1 || r.Stats.Diags[0].Kind != DiagError {
-			t.Fatalf("parallel=%v: diags %+v, want one error diag", parallel, r.Stats.Diags)
+			t.Fatalf("%s: diags %+v, want one error diag", kind.name, r.Stats.Diags)
 		}
 		if len(plan.Firings()) != 1 {
-			t.Fatalf("parallel=%v: firings %v", parallel, plan.Firings())
+			t.Fatalf("%s: firings %v", kind.name, plan.Firings())
 		}
 	}
 }

@@ -142,7 +142,7 @@ func (ev *evaluator) flexOfBits(set bitset.Set) float64 {
 
 // implement is Implement through the caches. sup is the supportable set
 // computed by estimate (haveSup false when the caller has none, e.g.
-// the multi-objective and sampling explorers, which skip estimation).
+// the sampling explorers, which skip estimation, and Upgrade's base).
 func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, stats *Stats) *Implementation {
 	if ev.legacy {
 		return Implement(ev.s, a, ev.opts, stats)

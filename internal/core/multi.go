@@ -4,9 +4,7 @@ import (
 	"context"
 	"math"
 
-	"repro/internal/alloc"
 	"repro/internal/bind"
-	"repro/internal/bitset"
 	"repro/internal/pareto"
 	"repro/internal/spec"
 )
@@ -20,9 +18,10 @@ type Objective struct {
 	// Eval extracts the minimized value.
 	Eval func(s *spec.Spec, im *Implementation) float64
 	// LowerBound, if non-nil, bounds the best achievable value for any
-	// implementation of the given allocation; used for dominance
+	// implementation of the given allocation, whose flexibility
+	// estimate under the run's options is est; used for dominance
 	// pruning. A nil LowerBound contributes 0 (no pruning power).
-	LowerBound func(s *spec.Spec, a spec.Allocation) float64
+	LowerBound func(s *spec.Spec, a spec.Allocation, est float64) float64
 }
 
 // CostObjective minimizes the allocation cost.
@@ -30,7 +29,7 @@ func CostObjective() Objective {
 	return Objective{
 		Name: "cost",
 		Eval: func(s *spec.Spec, im *Implementation) float64 { return im.Cost },
-		LowerBound: func(s *spec.Spec, a spec.Allocation) float64 {
+		LowerBound: func(s *spec.Spec, a spec.Allocation, _ float64) float64 {
 			return a.Cost(s)
 		},
 	}
@@ -47,8 +46,7 @@ func InvFlexibilityObjective() Objective {
 			}
 			return 1 / im.Flexibility
 		},
-		LowerBound: func(s *spec.Spec, a spec.Allocation) float64 {
-			est := Estimate(s, a, Options{})
+		LowerBound: func(s *spec.Spec, a spec.Allocation, est float64) float64 {
 			if est <= 0 {
 				return math.Inf(1)
 			}
@@ -105,7 +103,9 @@ func ResourceSumObjective(attr string) Objective {
 		Eval: func(s *spec.Spec, im *Implementation) float64 {
 			return sum(s, im.Allocation)
 		},
-		LowerBound: sum,
+		LowerBound: func(s *spec.Spec, a spec.Allocation, _ float64) float64 {
+			return sum(s, a)
+		},
 	}
 }
 
@@ -145,49 +145,51 @@ func ExploreMultiContext(ctx context.Context, s *spec.Spec, opts Options, object
 	if len(objectives) == 0 {
 		objectives = []Objective{CostObjective(), InvFlexibilityObjective()}
 	}
-	res := &MultiResult{Reason: ReasonCompleted}
+	sc := newScan(ctx, s, opts)
+	pol := &multiPolicy{s: s, objectives: objectives, best: make([]float64, len(objectives))}
+	sc.run(nil, pol)
+	res := &MultiResult{Interrupted: sc.Interrupted, Reason: sc.Reason, Cursor: sc.Cursor, Stats: sc.Stats}
 	for _, o := range objectives {
 		res.Names = append(res.Names, o.Name)
 	}
-	front := &pareto.Front{}
-	ev := newEvaluator(s, opts)
-	aStats := enumerateRange(s, opts, 1, 0, func(c alloc.Candidate) bool {
-		if ctx.Err() != nil {
-			res.Interrupted, res.Reason = true, reasonFor(ctx)
-			return false
-		}
-		res.Stats.PossibleAllocations++
-		res.Cursor++
-		res.Stats.Estimated++
-		if !opts.DisableFlexBound {
-			best := make([]float64, len(objectives))
-			for i, o := range objectives {
-				if o.LowerBound != nil {
-					best[i] = o.LowerBound(s, c.Allocation)
-				}
-			}
-			if front.DominatesPoint(best) {
-				return true
-			}
-		}
-		res.Stats.Attempted++
-		im := ev.implement(c.Allocation, bitset.Set{}, false, &res.Stats)
-		if im == nil {
-			return true
-		}
-		res.Stats.Feasible++
-		vec := make([]float64, len(objectives))
-		for i, o := range objectives {
-			vec[i] = o.Eval(s, im)
-		}
-		front.Add(&pareto.Entry{Objectives: vec, Value: im})
-		return true
-	})
-	ev.fold(&res.Stats)
-	finishResult(&res.Stats, &res.Reason, s, aStats, opts)
-	for _, e := range front.Entries() {
+	for _, e := range pol.front.Entries() {
 		res.Front = append(res.Front, e.Value.(*Implementation))
 		res.Objectives = append(res.Objectives, e.Objectives)
 	}
 	return res
 }
+
+// multiPolicy prunes a candidate when its best-case objective vector
+// (the per-objective lower bounds) is already dominated or matched by
+// an archived point.
+type multiPolicy struct {
+	s          *spec.Spec
+	objectives []Objective
+	front      pareto.Front
+	// best is the lower-bound vector, reused across candidates.
+	best []float64
+}
+
+func (p *multiPolicy) prune(a spec.Allocation, est float64) bool {
+	for i, o := range p.objectives {
+		p.best[i] = 0
+		if o.LowerBound != nil {
+			p.best[i] = o.LowerBound(p.s, a, est)
+		}
+	}
+	return p.front.DominatesPoint(p.best)
+}
+
+func (p *multiPolicy) fold(im *Implementation) (feasible, stop bool) {
+	if im == nil {
+		return false, false
+	}
+	vec := make([]float64, len(p.objectives))
+	for i, o := range p.objectives {
+		vec[i] = o.Eval(p.s, im)
+	}
+	p.front.Add(&pareto.Entry{Objectives: vec, Value: im})
+	return true, false
+}
+
+func (p *multiPolicy) archive() *pareto.Front { return &p.front }

@@ -12,24 +12,37 @@ import (
 
 // TestExploreMultiDefaultMatchesExplore: with the paper's two
 // objectives, the generalized explorer returns the same front values as
-// EXPLORE.
+// EXPLORE — also under the weighted metric, where the dominance bound
+// must use the run's (weighted) estimate.
 func TestExploreMultiDefaultMatchesExplore(t *testing.T) {
-	s := models.SetTopBox()
-	bi := Explore(s, Options{})
-	multi := ExploreMulti(s, Options{}, nil)
-	if len(multi.Front) != len(bi.Front) {
-		t.Fatalf("front sizes differ: %d vs %d", len(multi.Front), len(bi.Front))
+	weighted := models.SetTopBox()
+	for id, w := range map[hgraph.ID]float64{"gI": 1, "gD": 3, "gG": 5} {
+		weighted.Problem.ClusterByID(id).Attrs = hgraph.Attrs{spec.AttrWeight: w}
 	}
-	for i := range bi.Front {
-		if multi.Front[i].Cost != bi.Front[i].Cost ||
-			multi.Front[i].Flexibility != bi.Front[i].Flexibility {
-			t.Errorf("row %d differs: (%v,%v) vs (%v,%v)", i,
-				multi.Front[i].Cost, multi.Front[i].Flexibility,
-				bi.Front[i].Cost, bi.Front[i].Flexibility)
+	for _, tc := range []struct {
+		name string
+		s    *spec.Spec
+		opts Options
+	}{
+		{"settop", models.SetTopBox(), Options{}},
+		{"weighted settop", weighted, Options{Weighted: true}},
+	} {
+		bi := Explore(tc.s, tc.opts)
+		multi := ExploreMulti(tc.s, tc.opts, nil)
+		if len(multi.Front) != len(bi.Front) {
+			t.Fatalf("%s: front sizes differ: %d vs %d", tc.name, len(multi.Front), len(bi.Front))
 		}
-	}
-	if multi.Names[0] != "cost" || multi.Names[1] != "1/flexibility" {
-		t.Errorf("objective names = %v", multi.Names)
+		for i := range bi.Front {
+			if multi.Front[i].Cost != bi.Front[i].Cost ||
+				multi.Front[i].Flexibility != bi.Front[i].Flexibility {
+				t.Errorf("%s: row %d differs: (%v,%v) vs (%v,%v)", tc.name, i,
+					multi.Front[i].Cost, multi.Front[i].Flexibility,
+					bi.Front[i].Cost, bi.Front[i].Flexibility)
+			}
+		}
+		if multi.Names[0] != "cost" || multi.Names[1] != "1/flexibility" {
+			t.Errorf("%s: objective names = %v", tc.name, multi.Names)
+		}
 	}
 }
 

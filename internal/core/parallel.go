@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/alloc"
-	"repro/internal/pareto"
 	"repro/internal/spec"
 )
 
@@ -22,17 +21,16 @@ import (
 //
 // The engine is a pipeline over *range jobs*: the cost-ordered
 // enumeration is chunked into contiguous candidate ranges (adaptive
-// size, or Options.Batch), a fixed pool of workers evaluates each
-// range against a locally cached flexibility bound and folds the
-// survivors into a private pareto.Front, and an ordered-commit stage
-// reassembles the ranges in candidate order, replays their
-// per-candidate records against the exact bound and merges the whole
-// per-batch archives into the result front (pareto.Front.Merge).
-// Compared to per-candidate jobs this removes the two serial
-// bottlenecks that flattened the scaling curve: the channel handoff
-// and the commit bookkeeping are paid once per range instead of once
-// per candidate, and the shared bound is republished once per batch
-// commit instead of once per implementation.
+// size, or Options.Batch), a fixed pool of workers runs the sequential
+// explorer's per-candidate step (evalOne) over each range against a
+// locally cached flexibility bound, and an ordered-commit stage
+// reassembles the ranges in candidate order and folds their
+// per-candidate records against the exact bound, exactly as the
+// sequential driver folds its own. Compared to per-candidate jobs this
+// removes the two serial bottlenecks that flattened the scaling curve:
+// the channel handoff is paid once per range instead of once per
+// candidate, and the shared bound is republished once per batch commit
+// instead of once per implementation.
 //
 // Determinism is preserved by the commit order plus a second-chance
 // re-check: a worker may act on a stale (i.e. lower) bound, which only
@@ -71,24 +69,19 @@ func ExploreParallelContext(ctx context.Context, s *spec.Spec, opts Options, wor
 	if queue <= 0 {
 		queue = 2 * workers
 	}
-	// Warm the lazy indexes of the specification before concurrent use.
-	_ = Estimate(s, spec.Allocation{}, opts)
-
 	// One evaluator, shared by all workers: its caches are sharded and
 	// mutex-striped, so a binding proved (in)feasible by one worker is
-	// reused by every other.
-	ev := newEvaluator(s, opts)
-
-	res := &Result{MaxFlexibility: MaxFlexibility(s, opts), Reason: ReasonCompleted}
-	front := &pareto.Front{}
-	fcur, startCursor := seedResume(res, front, opts.Resume)
-	res.Cursor = startCursor
-	res.Stats.Pipeline = PipelineStats{Workers: workers, QueueDepth: queue}
+	// reused by every other. Building the scan (the maximum-flexibility
+	// estimate included) also warms the specification's lazy indexes
+	// before concurrent use.
+	sc := newScan(ctx, s, opts)
+	pol := sc.explorePolicy()
+	sc.seed(pol)
+	startCursor := sc.Cursor
+	sc.Stats.Pipeline = PipelineStats{Workers: workers, QueueDepth: queue}
 
 	p := &pipeline{
-		ctx:  ctx,
-		ev:   ev,
-		opts: opts,
+		scan: sc,
 		jobs: make(chan *pipeBatch, queue),
 		// Sized so a worker can always deposit a result without
 		// blocking the commit stage's drain: at most queue+workers
@@ -99,7 +92,7 @@ func ExploreParallelContext(ctx context.Context, s *spec.Spec, opts Options, wor
 	// The enumeration replays the resumed prefix internally; seed the
 	// counter so the running count matches a from-scratch scan.
 	p.possible.Store(int64(startCursor))
-	p.storeBound(fcur)
+	p.storeBound(pol.fcur)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -119,9 +112,7 @@ func ExploreParallelContext(ctx context.Context, s *spec.Spec, opts Options, wor
 
 	c := &committer{
 		p:        p,
-		res:      res,
-		front:    front,
-		fcur:     fcur,
+		pol:      pol,
 		next:     startCursor,
 		lastEmit: startCursor,
 		pending:  map[int]*pipeBatch{},
@@ -202,31 +193,17 @@ func ExploreParallelContext(ctx context.Context, s *spec.Spec, opts Options, wor
 		// The producer observed the cancellation but every in-flight
 		// range had already completed: the scan still ends interrupted,
 		// prefix-exact at the last committed candidate.
-		res.Interrupted, res.Reason = true, reasonFor(ctx)
+		sc.Interrupted, sc.Reason = true, reasonFor(ctx)
 	}
-	res.Stats.PossibleAllocations = int(p.possible.Load())
-	res.Stats.Pipeline.QueueHighWater = int(p.highWater.Load())
-	res.Stats.Pipeline.CommitStalls = c.stalls
-	res.Stats.Pipeline.BusyNanos = p.busy.Load()
-	res.Stats.Pipeline.BatchSize = int(p.maxBatch.Load())
-	res.Stats.Pipeline.BatchesCommitted = c.batches
-	res.Stats.Pipeline.BoundPublishes = int(p.publishes.Load())
-	ev.fold(&res.Stats)
+	c.gauges()
 	// A final progress event covers the scan tail past the last
 	// periodic emission, so long tails still report (and a checkpoint
 	// writer hooked on Progress captures the finished prefix).
-	if opts.Progress != nil && res.Cursor > c.lastEmit {
-		opts.Progress(Progress{
-			Cursor:         res.Cursor,
-			BestFlex:       c.fcur,
-			MaxFlexibility: res.MaxFlexibility,
-			Front:          frontToImplementations(front),
-			Stats:          res.Stats,
-		})
+	if opts.Progress != nil && sc.Cursor > c.lastEmit {
+		sc.report(pol)
 	}
-	finishResult(&res.Stats, &res.Reason, s, aStats, opts)
-	res.Front = frontToImplementations(front)
-	return res
+	sc.finish(aStats)
+	return sc.result(pol)
 }
 
 // batchSizeFor returns the size of the k-th range job of a run. An
@@ -258,42 +235,21 @@ func (o Options) batchSizeFor(k int) int {
 
 // pipeBatch is one contiguous candidate range travelling through the
 // pipeline: the allocations to evaluate (indices start..start+len-1 of
-// the cost-ordered enumeration), one record per candidate carrying its
-// evaluation outcome, and the worker's private archive of the
-// implementations that survived its local bound.
+// the cost-ordered enumeration) and one record per candidate carrying
+// its evaluation outcome.
 type pipeBatch struct {
 	start int
 	cands []spec.Allocation
-	recs  []batchRec
-	front *pareto.Front
+	recs  []outcome
 }
 
-// batchRec is the per-candidate evaluation record the ordered-commit
-// stage replays against the exact flexibility bound. It carries the
-// implementation pointer as well — redundant with the batch front in
-// the common case, but required for the rare mid-batch stop, where the
-// committed prefix ends inside the range and the batch archive (which
-// covers the whole range) cannot be merged wholesale.
-type batchRec struct {
-	site         string
-	est          float64
-	estimated    bool
-	attempted    bool
-	cancelled    bool
-	impl         *Implementation
-	ecsTested    int
-	bindingRuns  int
-	bindingNodes int
-	diag         *Diag
-}
-
-// pipeline holds the shared state of one parallel run: the channels,
-// the atomically published flexibility bound, and the contention
-// gauges.
+// pipeline holds the shared state of one parallel run: the scan it
+// runs, the channels, the atomically published flexibility bound, and
+// the contention gauges. The workers read only the scan's run-wide
+// inputs (context, evaluator, options); its anytime state and counters
+// belong to the commit stage.
 type pipeline struct {
-	ctx     context.Context
-	ev      *evaluator
-	opts    Options
+	*scan
 	jobs    chan *pipeBatch
 	results chan *pipeBatch
 	// done is closed by the commit stage when the scan must stop;
@@ -344,9 +300,11 @@ func (p *pipeline) storeBound(f float64) {
 func (p *pipeline) evaluate(b *pipeBatch) {
 	start := time.Now() //flexvet:ignore FX006 busy gauge: elapsed time is telemetry, never part of results
 	defer func() { p.busy.Add(time.Since(start).Nanoseconds()) }()
-	b.recs = make([]batchRec, len(b.cands))
-	b.front = &pareto.Front{}
-	bound := p.loadBound()
+	b.recs = make([]outcome, len(b.cands))
+	local := &explorePolicy{fcur: p.loadBound()}
+	// The implementation effort is counted in one Stats per batch, not
+	// per candidate: it escapes to the heap.
+	var st Stats
 	for i := range b.cands {
 		select {
 		case <-p.done:
@@ -359,20 +317,19 @@ func (p *pipeline) evaluate(b *pipeBatch) {
 			b.recs[i].cancelled = true
 			return
 		}
-		bound = p.evalOne(b, i, bound)
+		p.evalOne(b, i, local, &st)
 		if b.recs[i].cancelled {
 			return
 		}
 	}
 }
 
-// evalOne runs the per-candidate work, mirroring the sequential
-// explorer's order of operations exactly: estimate failpoint,
-// cancellation re-check, estimation, bound check, implement failpoint,
-// implementation construction. It returns the (possibly raised)
-// worker-local bound. A panic is recovered into a per-candidate Diag,
-// exactly isolating the poisoned candidate.
-func (p *pipeline) evalOne(b *pipeBatch, i int, bound float64) float64 {
+// evalOne is the shared per-candidate step (scan.step, the
+// sequential explorer's exact order of operations) run against the
+// worker-local bound, which the implementation raises. A panic is
+// recovered into a per-candidate Diag, exactly isolating the poisoned
+// candidate.
+func (p *pipeline) evalOne(b *pipeBatch, i int, local *explorePolicy, st *Stats) {
 	idx := b.start + i
 	r := &b.recs[i]
 	defer func() {
@@ -385,57 +342,21 @@ func (p *pipeline) evalOne(b *pipeBatch, i int, bound float64) float64 {
 			}
 		}
 	}()
-	r.site = SiteEstimate
-	if err := p.opts.Fault.Fire(SiteEstimate, idx); err != nil {
-		r.diag = &Diag{
-			Kind: DiagError, Site: SiteEstimate, Cursor: idx,
-			Allocation: b.cands[i].String(), Message: err.Error(),
-		}
-		return bound
-	}
-	if p.ctx.Err() != nil {
-		// A Cancel failpoint fired between the two checks.
-		r.cancelled = true
-		return bound
-	}
-	r.estimated = true
-	est, sup, haveSup := p.ev.estimate(b.cands[i])
-	r.est = est
-	if !p.opts.DisableFlexBound && est <= bound {
-		return bound
-	}
-	r.site = SiteImplement
-	if err := p.opts.Fault.Fire(SiteImplement, idx); err != nil {
-		r.diag = &Diag{
-			Kind: DiagError, Site: SiteImplement, Cursor: idx,
-			Allocation: b.cands[i].String(), Message: err.Error(),
-		}
-		return bound
-	}
-	r.attempted = true
-	var st Stats
-	r.impl = p.ev.implement(b.cands[i], sup, haveSup, &st)
+	*st = Stats{}
+	p.step(idx, b.cands[i], local, r, st)
 	r.ecsTested, r.bindingRuns, r.bindingNodes = st.ECSTested, st.BindingRuns, st.BindingNodes
-	if r.impl != nil {
-		b.front.Add(&pareto.Entry{
-			Objectives: pareto.CostFlexObjectives(r.impl.Cost, r.impl.Flexibility),
-			Value:      r.impl,
-		})
-		if r.impl.Flexibility > bound {
-			bound = r.impl.Flexibility
-		}
+	if r.impl != nil && r.impl.Flexibility > local.fcur {
+		local.fcur = r.impl.Flexibility
 	}
-	return bound
 }
 
-// committer is the ordered-commit stage: it owns the result, the front
-// and the exact flexibility bound, folding whole range jobs strictly in
-// candidate order through a reorder buffer keyed by range start.
+// committer is the ordered-commit stage: it owns the scan's anytime
+// state and counters, the front and the exact flexibility bound (the
+// Explore policy), folding range jobs strictly in candidate order
+// through a reorder buffer keyed by range start.
 type committer struct {
 	p        *pipeline
-	res      *Result
-	front    *pareto.Front
-	fcur     float64
+	pol      *explorePolicy
 	next     int
 	lastEmit int
 	pending  map[int]*pipeBatch
@@ -467,137 +388,74 @@ func (c *committer) run() {
 	}
 }
 
-// commitBatch folds one in-order range job into the result — the same
-// fold, in the same order, as the sequential explorer's candidate
-// loop. The counters and the exact bound come from replaying the
-// per-candidate records; the front comes from merging the batch's
-// private archive wholesale.
-//
-// Why the wholesale merge is exact: by induction the committed front
-// is the sequential front of the prefix and c.fcur the sequential
-// bound. The worker attempted a superset of the sequential attempts
-// (see evaluate), so every implementation the sequential run folds is
-// in the batch records; the replay filter `attempted && est > fcur`
-// recovers exactly the sequential attempt set, and raising fcur by
-// each such implementation's flexibility equals the sequential
-// front.Add-gated update (an implementation with flexibility above
-// fcur is never dominated — every archived entry has flexibility
-// <= fcur). For the front itself, any *extra* survivor in the batch
-// archive (attempted only under the stale bound, est <= fcur at its
-// turn) has flexibility <= est <= fcur while the committed front
-// always holds an entry with flexibility >= fcur and cost <= the
-// batch's costs (cost-ordered scan), so Merge rejects it as
-// dominated-or-equal; and any batch-archive eviction it caused would
-// have been rejected by the sequential Add for the same reason. Equal-
-// objective ties keep the earliest entry in both designs. Hence
-// Merge(batch archive) == the per-candidate sequential fold, payloads
-// included.
+// commitBatch folds one in-order range job into the scan with the
+// sequential driver's fold (scan.tally under the Explore policy),
+// candidate by candidate. By induction the scan is the sequential run
+// over the committed prefix. The worker attempted a superset of the
+// sequential attempts (see evaluate), so dropping the attempts the
+// exact bound prunes at their commit turn recovers the sequential
+// attempt set — and with it the front, counters, cursor and
+// termination.
 func (c *committer) commitBatch(b *pipeBatch) {
-	entry := c.fcur
+	sc, pol := c.p.scan, c.pol
+	entry := pol.fcur
 	for i := range b.recs {
 		r := &b.recs[i]
 		idx := b.start + i
 		if r.cancelled || (!r.estimated && r.diag == nil) {
 			// First unevaluated candidate: the scan ends here,
-			// prefix-exact. The batch archive covers candidates past
-			// the stop, so the prefix is refolded per candidate.
-			c.refold(b, i, entry)
-			c.res.Interrupted, c.res.Reason = true, reasonFor(c.p.ctx)
-			c.res.Cursor = idx
+			// prefix-exact.
+			sc.Interrupted, sc.Reason = true, reasonFor(sc.ctx)
+			sc.Cursor = idx
 			c.stop()
 			return
-		}
-		if r.estimated {
-			c.res.Stats.Estimated++
-		}
-		if r.diag != nil {
-			// Faulted or panicked: record the diagnostic, skip the
-			// candidate, keep scanning.
-			c.res.Stats.Diags = append(c.res.Stats.Diags, *r.diag)
-			continue
 		}
 		// Second chance against the exact bound as of this candidate's
 		// commit turn: drop attempts the sequential run would have
 		// skipped.
-		if r.attempted && (c.p.opts.DisableFlexBound || r.est > c.fcur) {
-			c.res.Stats.Attempted++
-			c.res.Stats.ECSTested += r.ecsTested
-			c.res.Stats.BindingRuns += r.bindingRuns
-			c.res.Stats.BindingNodes += r.bindingNodes
-			if r.impl != nil {
-				c.res.Stats.Feasible++
-				if r.impl.Flexibility > c.fcur {
-					c.fcur = r.impl.Flexibility
-				}
-			}
-			// Same stopping rule as the sequential explorer: check
-			// only after an attempted implementation.
-			if c.p.opts.StopAtMaxFlex && c.fcur >= c.res.MaxFlexibility {
-				c.refold(b, i+1, entry)
-				c.res.Reason = ReasonMaxFlex
-				c.res.Cursor = idx + 1
-				c.stop()
-				return
-			}
+		if r.attempted && !sc.opts.DisableFlexBound && pol.prune(b.cands[i], r.est) {
+			r.attempted = false
+		}
+		if r.attempted && r.diag == nil {
+			sc.Stats.ECSTested += r.ecsTested
+			sc.Stats.BindingRuns += r.bindingRuns
+			sc.Stats.BindingNodes += r.bindingNodes
+		}
+		if sc.tally(r, pol) {
+			sc.Reason = ReasonMaxFlex
+			sc.Cursor = idx + 1
+			c.stop()
+			return
 		}
 	}
-	c.front.Merge(b.front)
-	if c.fcur > entry {
+	if pol.fcur > entry {
 		// Republish once per committed batch — the relaxed cadence.
-		c.p.storeBound(c.fcur)
+		c.p.storeBound(pol.fcur)
 	}
 	c.batches++
 	c.advance(b.start + len(b.recs))
 }
 
-// refold is the rare mid-batch stop path (cancellation, StopAtMaxFlex):
-// the batch archive cannot be merged wholesale because it covers
-// candidates past the stopping point, so the committed prefix
-// recs[:end] is folded per candidate instead — the literal sequential
-// fold, replaying the exact-bound filter from the batch-entry bound.
-func (c *committer) refold(b *pipeBatch, end int, fcur float64) {
-	for i := 0; i < end; i++ {
-		r := &b.recs[i]
-		if r.diag != nil || !r.attempted {
-			continue
-		}
-		if !c.p.opts.DisableFlexBound && r.est <= fcur {
-			continue
-		}
-		if r.impl == nil {
-			continue
-		}
-		c.front.Add(&pareto.Entry{
-			Objectives: pareto.CostFlexObjectives(r.impl.Cost, r.impl.Flexibility),
-			Value:      r.impl,
-		})
-		if r.impl.Flexibility > fcur {
-			fcur = r.impl.Flexibility
-		}
+func (c *committer) advance(cursor int) {
+	c.next = cursor
+	c.p.Cursor = cursor
+	if c.p.opts.Progress != nil && cursor-c.lastEmit >= c.p.opts.progressEvery() {
+		c.gauges()
+		c.p.report(c.pol)
+		c.lastEmit = cursor
 	}
 }
 
-func (c *committer) advance(cursor int) {
-	c.next = cursor
-	c.res.Cursor = cursor
-	if c.p.opts.Progress != nil && cursor-c.lastEmit >= c.p.opts.progressEvery() {
-		c.p.ev.fold(&c.res.Stats)
-		c.res.Stats.PossibleAllocations = int(c.p.possible.Load())
-		c.res.Stats.Pipeline.QueueHighWater = int(c.p.highWater.Load())
-		c.res.Stats.Pipeline.CommitStalls = c.stalls
-		c.res.Stats.Pipeline.BusyNanos = c.p.busy.Load()
-		c.res.Stats.Pipeline.BatchSize = int(c.p.maxBatch.Load())
-		c.res.Stats.Pipeline.BatchesCommitted = c.batches
-		c.res.Stats.Pipeline.BoundPublishes = int(c.p.publishes.Load())
-		c.p.opts.Progress(Progress{
-			Cursor:         cursor,
-			BestFlex:       c.fcur,
-			MaxFlexibility: c.res.MaxFlexibility,
-			Front:          frontToImplementations(c.front),
-			Stats:          c.res.Stats,
-		})
-		c.lastEmit = cursor
-	}
+// gauges copies the pipeline's counters into the scan's stats.
+func (c *committer) gauges() {
+	st := &c.p.Stats
+	st.PossibleAllocations = int(c.p.possible.Load())
+	st.Pipeline.QueueHighWater = int(c.p.highWater.Load())
+	st.Pipeline.CommitStalls = c.stalls
+	st.Pipeline.BusyNanos = c.p.busy.Load()
+	st.Pipeline.BatchSize = int(c.p.maxBatch.Load())
+	st.Pipeline.BatchesCommitted = c.batches
+	st.Pipeline.BoundPublishes = int(c.p.publishes.Load())
 }
 
 func (c *committer) stop() {

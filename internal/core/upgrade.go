@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 
-	"repro/internal/alloc"
 	"repro/internal/bitset"
-	"repro/internal/pareto"
 	"repro/internal/spec"
 )
 
@@ -26,54 +24,24 @@ func Upgrade(s *spec.Spec, base spec.Allocation, opts Options) *Result {
 
 // UpgradeContext is Upgrade under a context, with the same anytime
 // semantics as ExploreContext: an interrupted run returns the
-// Pareto-optimal upgrades over the explored cost-ordered prefix.
+// Pareto-optimal upgrades over the explored cost-ordered prefix. It is
+// EXPLORE's scan over the extensions of base with the flexibility
+// bound starting at the base's flexibility.
 func UpgradeContext(ctx context.Context, s *spec.Spec, base spec.Allocation, opts Options) *Result {
-	res := &Result{MaxFlexibility: MaxFlexibility(s, opts), Reason: ReasonCompleted}
-	front := &pareto.Front{}
-	ev := newEvaluator(s, opts)
-
-	baseImpl := ev.implement(base, bitset.Set{}, false, &res.Stats)
-	fcur := 0.0
-	if baseImpl != nil {
-		fcur = baseImpl.Flexibility
+	if base == nil {
+		base = spec.Allocation{}
 	}
-	baseFlex := fcur
-
-	aStats := alloc.EnumerateExtensions(s, base, alloc.Options{
-		IncludeUselessComm: opts.IncludeUselessComm,
-		MaxScan:            opts.MaxScan,
-	}, func(c alloc.Candidate) bool {
-		if ctx.Err() != nil {
-			res.Interrupted, res.Reason = true, reasonFor(ctx)
-			return false
-		}
-		res.Stats.PossibleAllocations++
-		res.Cursor++
-		res.Stats.Estimated++
-		est, sup, haveSup := ev.estimate(c.Allocation)
-		if !opts.DisableFlexBound && est <= fcur {
-			return true
-		}
-		res.Stats.Attempted++
-		im := ev.implement(c.Allocation, sup, haveSup, &res.Stats)
-		if im == nil || im.Flexibility <= baseFlex {
-			return true
-		}
-		res.Stats.Feasible++
-		if front.Add(&pareto.Entry{
-			Objectives: pareto.CostFlexObjectives(im.Cost, im.Flexibility),
-			Value:      im,
-		}) && im.Flexibility > fcur {
-			fcur = im.Flexibility
-		}
-		if opts.StopAtMaxFlex && fcur >= res.MaxFlexibility {
-			res.Reason = ReasonMaxFlex
-			return false
-		}
-		return true
-	})
-	ev.fold(&res.Stats)
-	finishResult(&res.Stats, &res.Reason, s, aStats, opts)
-	res.Front = frontToImplementations(front)
-	return res
+	sc := newScan(ctx, s, opts)
+	// A resumed scan's counters already include the base's
+	// implementation effort.
+	st := &sc.Stats
+	if opts.Resume != nil {
+		st = &Stats{}
+	}
+	pol := sc.explorePolicy()
+	if im := sc.ev.implement(base, bitset.Set{}, false, st); im != nil {
+		pol.fcur, pol.floor = im.Flexibility, im.Flexibility
+	}
+	sc.run(base, pol)
+	return sc.result(pol)
 }

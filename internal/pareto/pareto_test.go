@@ -252,162 +252,3 @@ func TestAdditiveEpsilon(t *testing.T) {
 		t.Errorf("empty B: eps = %v, want 0", got)
 	}
 }
-
-// mergeClone duplicates a front without sharing its entries slice, so
-// Merge (which mutates the receiver) can be exercised from the same
-// starting point repeatedly. Entry pointers are shared on purpose —
-// that is Merge's documented contract.
-func mergeClone(f *Front) *Front {
-	return &Front{entries: append([]*Entry(nil), f.entries...)}
-}
-
-func sameObjectives(a, b *Front) bool {
-	ea, eb := a.Entries(), b.Entries()
-	if len(ea) != len(eb) {
-		return false
-	}
-	for i := range ea {
-		if !equal(ea[i].Objectives, eb[i].Objectives) {
-			return false
-		}
-	}
-	return true
-}
-
-// randomObjs draws objective vectors from a small grid so duplicates
-// and dominance chains are frequent — the interesting cases for Merge.
-func randomObjs(rng *rand.Rand, n int) [][]float64 {
-	objs := make([][]float64, n)
-	for k := range objs {
-		objs[k] = []float64{float64(rng.Intn(8)), float64(rng.Intn(8))}
-	}
-	return objs
-}
-
-// Property (extends TestPropOrderIndependence to the archive level):
-// cutting an insertion sequence into contiguous partitions, archiving
-// each partition and merging the partition archives in order
-// reproduces the sequential front exactly — representatives included.
-// This is the fold the parallel explorer's ordered commit performs on
-// per-batch archives.
-func TestPropMergePartitionsMatchSequential(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		objs := randomObjs(rng, 40)
-		seq := &Front{}
-		entries := make([]*Entry, len(objs))
-		for k, o := range objs {
-			entries[k] = &Entry{Objectives: o, Value: k}
-			seq.Add(entries[k])
-		}
-		// Random contiguous partition of the same entries.
-		merged := &Front{}
-		for start := 0; start < len(entries); {
-			end := start + 1 + rng.Intn(len(entries)-start)
-			part := &Front{}
-			for _, e := range entries[start:end] {
-				part.Add(e)
-			}
-			merged.Merge(part)
-			start = end
-		}
-		es, em := seq.Entries(), merged.Entries()
-		if len(es) != len(em) {
-			return false
-		}
-		for i := range es {
-			// Pointer equality: the same representative survives at
-			// equal-objective ties, not merely an equal vector.
-			if es[i] != em[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Merge is associative — (A ⊎ B) ⊎ C and A ⊎ (B ⊎ C) hold
-// the same entries (pointers, not just vectors: the first-wins tie
-// rule over the concatenated order A,B,C is the same either way).
-func TestPropMergeAssociative(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		fronts := make([]*Front, 3)
-		for i := range fronts {
-			fronts[i] = &Front{}
-			for _, o := range randomObjs(rng, 12) {
-				fronts[i].Add(&Entry{Objectives: o, Value: i})
-			}
-		}
-		a, b, c := fronts[0], fronts[1], fronts[2]
-		left := mergeClone(a)
-		left.Merge(b)
-		left.Merge(c)
-		bc := mergeClone(b)
-		bc.Merge(c)
-		right := mergeClone(a)
-		right.Merge(bc)
-		el, er := left.Entries(), right.Entries()
-		if len(el) != len(er) {
-			return false
-		}
-		for i := range el {
-			if el[i] != er[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Merge is commutative up to entry order — A ⊎ B and B ⊎ A
-// archive the same objective vectors (the non-dominated subset of the
-// union); only the representative at an exact tie may differ.
-func TestPropMergeCommutativeObjectives(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a, b := &Front{}, &Front{}
-		for _, o := range randomObjs(rng, 15) {
-			a.Add(&Entry{Objectives: o})
-		}
-		for _, o := range randomObjs(rng, 15) {
-			b.Add(&Entry{Objectives: o})
-		}
-		ab := mergeClone(a)
-		ab.Merge(b)
-		ba := mergeClone(b)
-		ba.Merge(a)
-		return sameObjectives(ab, ba)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Merge of nil and empty fronts is a no-op; the insertion count is
-// exact.
-func TestMergeEdgeCases(t *testing.T) {
-	f := &Front{}
-	if n := f.Merge(nil); n != 0 {
-		t.Errorf("Merge(nil) inserted %d", n)
-	}
-	if n := f.Merge(&Front{}); n != 0 || f.Size() != 0 {
-		t.Errorf("Merge(empty) inserted %d, size %d", n, f.Size())
-	}
-	g := &Front{}
-	g.Add(&Entry{Objectives: []float64{1, 2}})
-	g.Add(&Entry{Objectives: []float64{2, 1}})
-	if n := f.Merge(g); n != 2 || f.Size() != 2 {
-		t.Errorf("Merge inserted %d entries into a front of size %d, want 2/2", n, f.Size())
-	}
-	// Re-merging the same archive inserts nothing (all duplicates).
-	if n := f.Merge(g); n != 0 {
-		t.Errorf("re-Merge inserted %d", n)
-	}
-}

@@ -1,10 +1,10 @@
 // Package runopts owns the run options every exploration front end
 // shares — the timing test, the weighted metric, the evaluation cache,
-// the worker budget, the wall-clock budget, checkpointing and the
-// profile outputs: their flags, one validator for their values and
-// combinations, the core.Options they select, and the checkpoint
-// wiring of a run. The commands and the job decoder keep only the
-// rules of their own modes.
+// the worker budget, the wall-clock budget, checkpointing, the
+// profile outputs and the lint preflight: their flags, one validator
+// for their values and combinations, the core.Options they select, and
+// the checkpoint and preflight wiring of a run. The commands and the
+// job decoder keep only the rules of their own modes.
 //
 // How candidates are produced (enumerator, producer shards, batch
 // size) is not an option here: the engine resolves it from the unit
@@ -27,6 +27,7 @@ import (
 	"repro/internal/bind"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/lint"
 	"repro/internal/spec"
 )
 
@@ -56,6 +57,8 @@ type Options struct {
 	Resume              bool
 	// CPUProfile, MemProfile and Trace are profile output paths.
 	CPUProfile, MemProfile, Trace string
+	// Lint is on or off: whether Preflight lints the specification.
+	Lint string
 	// Explicit holds the names of the flags set on the command line,
 	// so combination rules do not misfire on defaults.
 	Explicit map[string]bool
@@ -76,6 +79,7 @@ func (o *Options) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.Trace, "trace", "", "write a runtime execution trace to this file")
+	fs.StringVar(&o.Lint, "lint", "on", "preflight static analysis: on | off (see docs/lint-codes.md)")
 }
 
 // Visit records in o.Explicit the flags set on fs's command line.
@@ -99,6 +103,9 @@ func (o *Options) Problems(names map[string]string) []string {
 	}
 	if o.Cache != "on" && o.Cache != "off" {
 		out = append(out, name("cache")+" must be on or off")
+	}
+	if o.Lint != "on" && o.Lint != "off" {
+		out = append(out, name("lint")+" must be on or off")
 	}
 	if o.Workers < 0 {
 		out = append(out, name("workers")+" must be >= 0")
@@ -181,6 +188,20 @@ func (o *Options) Checkpointing(prog string, s *spec.Spec, opts *core.Options) (
 			prog, snap.SpecName, snap.Cursor, len(snap.Front))
 	}
 	return func(r *core.Result) { save(checkpoint.FromResult(s, *opts, r)) }, nil
+}
+
+// Preflight lints s unless Lint is off, reporting the findings on
+// stderr under prog. It returns false when an error-level finding
+// blocks the run.
+func (o *Options) Preflight(prog string, s *spec.Spec) bool {
+	if o.Lint == "off" {
+		return true
+	}
+	if err := lint.Preflight(s, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, prog+":", err, "(rerun with -lint=off to explore anyway)")
+		return false
+	}
+	return true
 }
 
 // StartProfiles begins the requested CPU profile and execution trace.

@@ -41,6 +41,7 @@ func TestProblems(t *testing.T) {
 		{"timing empty", func(o *Options) { o.Timing = "" }, "unknown -timing"},
 		{"cache off", func(o *Options) { o.Cache = "off" }, ""},
 		{"cache unknown", func(o *Options) { o.Cache = "maybe" }, "-cache must be on or off"},
+		{"lint unknown", func(o *Options) { o.Lint = "of" }, "-lint must be on or off"},
 		{"workers auto", func(o *Options) { o.Workers = 0 }, ""},
 		{"workers negative", func(o *Options) { o.Workers = -1 }, "-workers must be >= 0"},
 		{"timeout", func(o *Options) { o.Timeout = time.Second }, ""},

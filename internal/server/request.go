@@ -184,6 +184,7 @@ func (s *Server) jobFromRequest(req *Request, sp *spec.Spec) (*job, *apiError) {
 		Timing:          cmp.Or(req.Timing, "paper"),
 		Weighted:        req.Weighted,
 		Cache:           "on",
+		Lint:            "off", // jobs are linted at admission (Config.Lint)
 		Workers:         req.Workers,
 		Timeout:         cmp.Or(time.Duration(req.DeadlineMs)*time.Millisecond, s.cfg.MaxDeadline),
 		MaxTimeout:      s.cfg.MaxDeadline,
