@@ -134,105 +134,59 @@ type Result struct {
 // graph fp onto the architecture view av. It returns the result and
 // whether a feasible binding exists. Processes without any mapping edge
 // to a present resource make the instance trivially infeasible.
+//
+// The search is a backtracking search over the compiled instance (see
+// Instance.Solve): processes are bound most-constrained first, ties by
+// ID, each onto its present mapping targets in resource-ID order; a
+// candidate must communicate with every bound neighbour and keep its
+// resource's load within the timing policy. Find compiles a one-off
+// instance and view; callers binding one flattening many times should
+// Compile once instead.
 func Find(s *spec.Spec, fp *hgraph.FlatGraph, av *spec.ArchView, opts Options) (*Result, bool) {
-	res := &Result{}
-	n := len(fp.Vertices)
-	procs := make([]hgraph.ID, n)
-	cands := make([][]hgraph.ID, n)
-	pos := map[hgraph.ID]int{}
-	for i, v := range fp.Vertices {
-		procs[i] = v.ID
-		pos[v.ID] = i
+	in, v := compileOneOff(s, fp, av)
+	sol, ok := in.Solve(v, opts)
+	return in.result(sol, ok), ok
+}
+
+// compileOneOff compiles fp and av over the present resources some
+// process of fp maps onto — the only resources a binding onto av can
+// use.
+func compileOneOff(s *spec.Spec, fp *hgraph.FlatGraph, av *spec.ArchView) (*Instance, *View) {
+	ix := make(oneOff, 0, 8)
+	for _, v := range fp.Vertices {
 		for _, m := range s.MappingsFor(v.ID) {
-			if av.Present(m.Resource) {
-				cands[i] = append(cands[i], m.Resource)
+			if _, ok := ix.Index(m.Resource); !ok && av.Present(m.Resource) {
+				ix = append(ix, m.Resource)
 			}
 		}
-		if len(cands[i]) == 0 {
-			return res, false
-		}
 	}
-	// MRV: bind the most constrained processes first (stable order for
-	// determinism).
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if len(cands[order[a]]) != len(cands[order[b]]) {
-			return len(cands[order[a]]) < len(cands[order[b]])
-		}
-		return procs[order[a]] < procs[order[b]]
-	})
+	return compile(s, fp, &ix), viewOf(av, &ix)
+}
 
-	// adjacency of the flat problem graph in index space
-	adj := make([][]int, n)
-	for _, e := range fp.Edges {
-		i, j := pos[e.From], pos[e.To]
-		adj[i] = append(adj[i], j)
-		adj[j] = append(adj[j], i)
-	}
+// oneOff numbers the resources of one call in first-seen order: the
+// search never depends on the numbering, and a handful of resources is
+// found faster by a scan than by sorting them and building a map.
+type oneOff []hgraph.ID
 
-	assigned := make([]hgraph.ID, n) // "" = unassigned
-	// tasksOn accumulates the timed load per resource.
-	tasksOn := map[hgraph.ID][]sched.Task{}
+func (ix *oneOff) Len() int           { return len(*ix) }
+func (ix *oneOff) At(i int) hgraph.ID { return (*ix)[i] }
 
-	var solve func(k int) bool
-	solve = func(k int) bool {
-		if k == n {
-			return true
+func (ix *oneOff) Index(id hgraph.ID) (int, bool) {
+	for i, x := range *ix {
+		if x == id {
+			return i, true
 		}
-		idx := order[k]
-		p := procs[idx]
-		period := s.Period(p)
-		for _, r := range cands[idx] {
-			if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
-				res.Truncated = true
-				return false
-			}
-			res.Nodes++
-			// Communication feasibility against already-bound neighbours.
-			ok := true
-			for _, nb := range adj[idx] {
-				if assigned[nb] != "" && !av.CanCommunicate(r, assigned[nb]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			// Timing feasibility of the partial load on r. All policies
-			// are monotone in the task set, so pruning is sound.
-			var saved []sched.Task
-			if period > 0 {
-				m := s.Mapping(p, r)
-				saved = tasksOn[r]
-				tasksOn[r] = append(saved, sched.Task{ID: string(p), WCET: m.Latency, Period: period})
-				if !opts.Timing.test(tasksOn[r]) {
-					tasksOn[r] = saved
-					continue
-				}
-			}
-			assigned[idx] = r
-			if solve(k + 1) {
-				return true
-			}
-			assigned[idx] = ""
-			if period > 0 {
-				tasksOn[r] = saved
-			}
-		}
-		return false
 	}
-	if !solve(0) {
-		return res, false
+	return 0, false
+}
+
+// result converts a dense search outcome into a Result.
+func (in *Instance) result(sol Solution, ok bool) *Result {
+	res := &Result{Nodes: sol.Nodes, Truncated: sol.Truncated}
+	if ok {
+		res.Binding = in.Binding(sol.Assign)
 	}
-	res.Binding = Binding{}
-	for i, r := range assigned {
-		res.Binding[procs[i]] = r
-	}
-	return res, true
+	return res
 }
 
 // Check verifies a complete binding against the paper's feasibility
@@ -240,57 +194,45 @@ func Find(s *spec.Spec, fp *hgraph.FlatGraph, av *spec.ArchView, opts Options) (
 // It is the library's independent validator (the solver constructs only
 // bindings that pass it).
 func Check(s *spec.Spec, fp *hgraph.FlatGraph, av *spec.ArchView, b Binding, opts Options) error {
-	// Rule 2: each activated leaf has exactly one activated mapping edge.
-	for _, v := range fp.Vertices {
-		r, ok := b[v.ID]
+	in, v := compileOneOff(s, fp, av)
+	// Rule 2 for the map form: each activated leaf, and only those, has
+	// a binding; Instance.Check verifies the rest.
+	assign := make([]int32, len(fp.Vertices))
+	for i, fv := range fp.Vertices {
+		r, ok := b[fv.ID]
 		if !ok {
-			return fmt.Errorf("bind: process %q unbound", v.ID)
+			return fmt.Errorf("bind: process %q unbound", fv.ID)
 		}
-		if s.Mapping(v.ID, r) == nil {
-			return fmt.Errorf("bind: no mapping edge %q=>%q", v.ID, r)
-		}
-		if !av.Present(r) {
+		ri, ok := in.rix.Index(r)
+		if !ok {
+			if s.Mapping(fv.ID, r) == nil {
+				return fmt.Errorf("bind: no mapping edge %q=>%q", fv.ID, r)
+			}
 			return fmt.Errorf("bind: resource %q not activated", r)
 		}
+		assign[i] = int32(ri)
 	}
 	for p := range b {
 		if fp.VertexByID(p) == nil {
 			return fmt.Errorf("bind: binding for inactive process %q", p)
 		}
 	}
-	// Rule 3: every dependence is handled.
-	for _, e := range fp.Edges {
-		if !av.CanCommunicate(b[e.From], b[e.To]) {
-			return fmt.Errorf("bind: dependence %s->%s unroutable between %q and %q",
-				e.From, e.To, b[e.From], b[e.To])
-		}
-	}
-	// Timing.
-	tasksOn := map[hgraph.ID][]sched.Task{}
-	for _, v := range fp.Vertices {
-		period := s.Period(v.ID)
-		if period <= 0 {
-			continue
-		}
-		r := b[v.ID]
-		m := s.Mapping(v.ID, r)
-		tasksOn[r] = append(tasksOn[r], sched.Task{ID: string(v.ID), WCET: m.Latency, Period: period})
-	}
-	for r, tasks := range tasksOn {
-		if !opts.Timing.test(tasks) {
-			return fmt.Errorf("bind: resource %q fails timing policy %v (utilization %.3f)",
-				r, opts.Timing, sched.Utilization(tasks))
-		}
-	}
-	return nil
+	return in.Check(v, assign, opts)
 }
 
 // TotalLatency sums the mapped execution latencies of a binding — a
 // simple secondary metric used by examples and benchmarks.
 func TotalLatency(s *spec.Spec, b Binding) float64 {
+	procs := make([]hgraph.ID, 0, len(b))
+	for p := range b {
+		procs = append(procs, p)
+	}
+	// Sum in process order: float addition is not associative, and map
+	// order would make the last bits vary between runs.
+	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
 	total := 0.0
-	for p, r := range b {
-		if m := s.Mapping(p, r); m != nil {
+	for _, p := range procs {
+		if m := s.Mapping(p, b[p]); m != nil {
 			total += m.Latency
 		}
 	}

@@ -20,18 +20,21 @@ import (
 //
 //   - interned problem flattenings keyed by the canonical ECS
 //     selection, so each elementary cluster activation is flattened
-//     once per run instead of once per (candidate × ECS);
+//     and compiled into a bind.Instance once per run instead of once
+//     per (candidate × ECS);
 //   - interned architecture flattenings keyed by the canonical
-//     architecture selection, for the same reason;
-//   - a binding memo keyed by (ECS selection, architecture selection)
-//     holding, per present-resource set, the solver outcome, with a
-//     monotone-dominance rule: a binding found feasible under a
-//     resource set stays feasible under any superset (extra resources
-//     only add present vertices and links, and the timing tests depend
-//     only on the binding itself), so it is replayed — and verified
-//     with bind.Check — instead of rerun; an ECS proven infeasible on
-//     a resource superset (by an untruncated search) is skipped on any
-//     subset.
+//     architecture selection, for the same reason, and interned views
+//     (an architecture flattening restricted to a present-resource set)
+//     compiled into a bind.View once each;
+//   - a binding memo per (problem slot, architecture slot) pair, hung
+//     off the problem slot, holding per view the solver outcome as a
+//     dense assignment, with a monotone-dominance rule: a binding found
+//     feasible under a resource set stays feasible under any superset
+//     (extra resources only add present vertices and links, and the
+//     timing tests depend only on the binding itself), so it is
+//     replayed — and verified with Instance.Check — instead of rerun;
+//     an ECS proven infeasible on a resource superset (by an untruncated
+//     search) is skipped on any subset.
 //
 // The feasible-superset replay is gated on Options.MaxBindNodes == 0:
 // a truncated search is not monotone (a larger search space can
@@ -43,6 +46,8 @@ import (
 // On top of the caches, the evaluator keeps cluster/activation/resource
 // sets as dense bitsets (internal/bitset) over per-run indexers instead
 // of map[hgraph.ID]bool, cutting the per-candidate allocation count.
+// Bindings stay dense too: a bind.Binding map is built only for the
+// behaviours implement returns.
 //
 // All caches are sharded and mutex-striped, so one evaluator is shared
 // by the parallel explorer's workers; counters are atomics, folded into
@@ -58,9 +63,8 @@ type evaluator struct {
 
 	sup *alloc.Supporter
 
-	flats *shardMap // ECS selection string -> *flatSlot
+	flats *shardMap // ECS selection string -> *probSlot
 	archs *shardMap // arch selection string -> *flatSlot
-	binds *shardMap // ECS key + "\x00" + arch key -> *bindMemo
 	ecss  *shardMap // supportable-set key -> *ecsSlot
 	views *shardMap // arch key + "\x00" + present key -> *viewSlot
 
@@ -86,7 +90,6 @@ func newEvaluator(s *spec.Spec, opts Options) *evaluator {
 	ev.sup = alloc.NewSupporter(s)
 	ev.flats = newShardMap()
 	ev.archs = newShardMap()
-	ev.binds = newShardMap()
 	ev.ecss = newShardMap()
 	ev.views = newShardMap()
 	if opts.Resume != nil {
@@ -163,35 +166,30 @@ func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, 
 	var behaviours []Behaviour
 
 	// Architecture configurations, through the interned flattenings.
-	type viewEntry struct {
-		av         *spec.ArchView
-		key        string
-		present    bitset.Set
-		presentKey string
-	}
-	var views []viewEntry
+	var views []*viewSlot
 	a.EnumerateArchSelections(ev.s, func(sel hgraph.Selection) bool {
 		key := sel.String()
-		fg, ok := ev.archFlat(key, sel)
-		if !ok {
+		arch := ev.archFlat(key, sel)
+		if !arch.ok {
 			return true
 		}
 		present := bitset.New(rix.Len())
-		for _, v := range fg.Vertices {
+		for _, v := range arch.fg.Vertices {
 			if i, ok := rix.Index(v.ID); ok && avail.Has(i) {
 				present.Add(i)
 			}
 		}
-		presentKey := present.Key()
-		views = append(views, viewEntry{
-			av:         ev.viewFor(key+"\x00"+presentKey, fg, present, sel),
-			key:        key,
-			present:    present,
-			presentKey: presentKey,
-		})
+		views = append(views, ev.viewFor(key+"\x00"+present.Key(), arch, present, sel))
 		return true
 	})
 
+	// bound[i] is behaviours[i]'s binding, kept dense until the
+	// behaviour is known to be returned.
+	type denseBinding struct {
+		inst   *bind.Instance
+		assign []int32
+	}
+	var bound []denseBinding
 	tested := 0
 	maxECS := ev.opts.maxECS()
 	list := ev.ecsList(sup)
@@ -207,19 +205,17 @@ func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, 
 			continue
 		}
 		stats.ECSTested++
-		if !en.fpok {
+		if !en.prob.ok {
 			if tested >= maxECS {
 				break
 			}
 			continue
 		}
-		for _, ve := range views {
-			b, ok := ev.bindFor(en.key, ve.key, ve.present, ve.presentKey, en.fp, ve.av, stats)
-			if ok {
+		for _, vs := range views {
+			if assign, ok := ev.bindFor(en.prob, vs, stats); ok {
 				feasible.UnionWith(en.bits)
-				behaviours = append(behaviours, Behaviour{
-					ECS: en.e, ArchSelection: ve.av.Selection, Binding: b,
-				})
+				behaviours = append(behaviours, Behaviour{ECS: en.e, ArchSelection: vs.sel})
+				bound = append(bound, denseBinding{en.prob.inst, assign})
 				break
 			}
 		}
@@ -235,7 +231,7 @@ func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, 
 	}
 	clusters := cix.IDs(implemented)
 	kept := behaviours[:0]
-	for _, b := range behaviours {
+	for k, b := range behaviours {
 		all := true
 		for _, c := range b.ECS.Clusters {
 			if i, ok := cix.Index(c); !ok || !implemented.Has(i) {
@@ -244,6 +240,7 @@ func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, 
 			}
 		}
 		if all {
+			b.Binding = bound[k].inst.Binding(bound[k].assign)
 			kept = append(kept, b)
 		}
 	}
@@ -258,14 +255,11 @@ func (ev *evaluator) implement(a spec.Allocation, sup bitset.Set, haveSup bool, 
 
 // ecsEntry is one elementary cluster activation of a supportable set,
 // with everything the per-candidate loop needs precomputed: the
-// canonical selection key, the activated-cluster bitset, and the
-// interned problem flattening.
+// activated-cluster bitset and the interned problem slot.
 type ecsEntry struct {
 	e    cover.ECS
-	key  string
 	bits bitset.Set
-	fp   *hgraph.FlatGraph
-	fpok bool
+	prob *probSlot
 }
 
 // ecsSlot interns the ECS enumeration of one supportable-cluster set.
@@ -289,13 +283,13 @@ func (ev *evaluator) ecsList(sup bitset.Set) []ecsEntry {
 			i, ok := cix.Index(id)
 			return ok && sup.Has(i)
 		}, func(e cover.ECS) bool {
-			en := ecsEntry{e: e, key: e.Selection.String(), bits: bitset.New(cix.Len())}
+			en := ecsEntry{e: e, bits: bitset.New(cix.Len())}
 			for _, c := range e.Clusters {
 				if i, ok := cix.Index(c); ok {
 					en.bits.Add(i)
 				}
 			}
-			en.fp, en.fpok = ev.flatProblem(en.key, e.Selection)
+			en.prob = ev.flatProblem(e.Selection.String(), e.Selection)
 			slot.list = append(slot.list, en)
 			return true
 		})
@@ -303,61 +297,70 @@ func (ev *evaluator) ecsList(sup bitset.Set) []ecsEntry {
 	return slot.list
 }
 
-// viewSlot interns one architecture view.
+// viewSlot interns one architecture view: an architecture flattening
+// restricted to a present-resource set, compiled for the binder.
 type viewSlot struct {
-	once sync.Once
-	av   *spec.ArchView
+	once    sync.Once
+	arch    *flatSlot
+	sel     hgraph.Selection
+	present bitset.Set
+	view    *bind.View
 }
 
-// viewFor returns the interned architecture view for an (architecture
-// selection, present-resource set) pair. Distinct allocations frequently
-// induce the same present set on a given flattening — resources outside
-// the selected design do not change the view — so the adjacency build
-// is shared across them.
-func (ev *evaluator) viewFor(key string, fg *hgraph.FlatGraph, present bitset.Set, sel hgraph.Selection) *spec.ArchView {
+// viewFor returns the interned view for an (architecture selection,
+// present-resource set) pair. Distinct allocations frequently induce
+// the same present set on a given flattening — resources outside the
+// selected design do not change the view — so the compilation is
+// shared across them.
+func (ev *evaluator) viewFor(key string, arch *flatSlot, present bitset.Set, sel hgraph.Selection) *viewSlot {
 	v, _ := ev.views.getOrCreate(key, func() any { return &viewSlot{} })
 	slot := v.(*viewSlot)
 	slot.once.Do(func() {
-		rix := ev.sup.Resources
-		slot.av = ev.s.ArchViewFromFlat(fg, func(id hgraph.ID) bool {
-			i, ok := rix.Index(id)
-			return ok && present.Has(i)
-		}, sel)
+		slot.arch, slot.sel, slot.present = arch, sel.Clone(), present
+		slot.view = bind.NewView(ev.s, arch.fg, present, ev.sup.Resources)
 	})
-	return slot.av
+	return slot
 }
 
-// flatSlot interns one flattening; the Once gives single-flight
-// construction under concurrent lookups.
+// flatSlot interns one architecture flattening; the Once gives
+// single-flight construction under concurrent lookups.
 type flatSlot struct {
 	once sync.Once
 	fg   *hgraph.FlatGraph
 	ok   bool
 }
 
-// flatProblem returns the interned problem flattening for an ECS
-// selection, flattening (and precomputing adjacency, for concurrent
-// readers) on first use.
-func (ev *evaluator) flatProblem(key string, sel hgraph.Selection) (*hgraph.FlatGraph, bool) {
-	v, created := ev.flats.getOrCreate(key, func() any { return &flatSlot{} })
+// probSlot interns one problem flattening, compiled into a binding
+// instance, and carries the binding memos of its ECS, one per
+// architecture slot it has been bound under.
+type probSlot struct {
+	once  sync.Once
+	inst  *bind.Instance
+	ok    bool
+	memos sync.Map // *flatSlot -> *bindMemo
+}
+
+// flatProblem returns the interned problem slot for an ECS selection,
+// flattening and compiling on first use.
+func (ev *evaluator) flatProblem(key string, sel hgraph.Selection) *probSlot {
+	v, created := ev.flats.getOrCreate(key, func() any { return &probSlot{} })
 	if created {
 		ev.flattenMisses.Add(1)
 	} else {
 		ev.flattenHits.Add(1)
 	}
-	slot := v.(*flatSlot)
+	slot := v.(*probSlot)
 	slot.once.Do(func() {
 		if fg, err := ev.s.Problem.Flatten(sel); err == nil {
-			fg.Precompute()
-			slot.fg, slot.ok = fg, true
+			slot.inst, slot.ok = bind.Compile(ev.s, fg, ev.sup.Resources), true
 		}
 	})
-	return slot.fg, slot.ok
+	return slot
 }
 
 // archFlat returns the interned partial architecture flattening for an
 // architecture selection.
-func (ev *evaluator) archFlat(key string, sel hgraph.Selection) (*hgraph.FlatGraph, bool) {
+func (ev *evaluator) archFlat(key string, sel hgraph.Selection) *flatSlot {
 	v, created := ev.archs.getOrCreate(key, func() any { return &flatSlot{} })
 	if created {
 		ev.archMisses.Add(1)
@@ -367,11 +370,10 @@ func (ev *evaluator) archFlat(key string, sel hgraph.Selection) (*hgraph.FlatGra
 	slot := v.(*flatSlot)
 	slot.once.Do(func() {
 		if fg, err := ev.s.Arch.FlattenPartial(sel); err == nil {
-			fg.Precompute()
 			slot.fg, slot.ok = fg, true
 		}
 	})
-	return slot.fg, slot.ok
+	return slot
 }
 
 // bindOutcome is one memoized solver verdict for a present-resource
@@ -379,7 +381,7 @@ func (ev *evaluator) archFlat(key string, sel hgraph.Selection) (*hgraph.FlatGra
 type bindOutcome struct {
 	present bitset.Set
 	ok      bool
-	binding bind.Binding
+	assign  []int32 // shared, read-only
 	// proof reports the infeasibility was established by an untruncated
 	// search and may therefore be used as a subset-dominance proof.
 	proof bool
@@ -388,34 +390,38 @@ type bindOutcome struct {
 // bindMemo collects the outcomes of one (ECS, arch selection) pair.
 type bindMemo struct {
 	mu         sync.Mutex
-	exact      map[string]*bindOutcome
+	exact      map[*viewSlot]*bindOutcome
 	feasible   []*bindOutcome
 	infeasible []*bindOutcome
 }
 
-// bindFor decides binding feasibility of the flattened ECS fp on the
-// view av through the memo: exact present-set recurrence replays the
-// stored verdict; a feasible binding under a subset is replayed and
-// verified under the present superset (unbounded solver only); an
-// infeasibility proven on a superset dominates the present subset.
-// Only on a miss does the solver run, and its outcome is stored.
-func (ev *evaluator) bindFor(ecsKey, archKey string, present bitset.Set, presentKey string, fp *hgraph.FlatGraph, av *spec.ArchView, stats *Stats) (bind.Binding, bool) {
-	v, _ := ev.binds.getOrCreate(ecsKey+"\x00"+archKey, func() any {
-		return &bindMemo{exact: map[string]*bindOutcome{}}
-	})
-	m := v.(*bindMemo)
+// memo returns the binding memo of the slot's ECS under arch.
+func (ps *probSlot) memo(arch *flatSlot) *bindMemo {
+	if m, ok := ps.memos.Load(arch); ok {
+		return m.(*bindMemo)
+	}
+	m, _ := ps.memos.LoadOrStore(arch, &bindMemo{exact: map[*viewSlot]*bindOutcome{}})
+	return m.(*bindMemo)
+}
+
+// bindFor decides binding feasibility of the ECS of ps on the view vs
+// through the memo: exact view recurrence replays the stored verdict; a
+// feasible binding under a subset is replayed and verified under the
+// present superset (unbounded solver only); an infeasibility proven on
+// a superset dominates the present subset. Only on a miss does the
+// solver run, and its outcome is stored. The returned assignment is
+// shared and must not be modified.
+func (ev *evaluator) bindFor(ps *probSlot, vs *viewSlot, stats *Stats) ([]int32, bool) {
+	m := ps.memo(vs.arch)
 
 	m.mu.Lock()
-	if o, ok := m.exact[presentKey]; ok {
+	if o, ok := m.exact[vs]; ok {
 		m.mu.Unlock()
 		ev.bindExactHits.Add(1)
-		if o.ok {
-			return o.binding.Clone(), true
-		}
-		return nil, false
+		return o.assign, o.ok
 	}
 	for _, o := range m.infeasible {
-		if o.proof && present.SubsetOf(o.present) {
+		if o.proof && vs.present.SubsetOf(o.present) {
 			m.mu.Unlock()
 			ev.bindInfeasHits.Add(1)
 			return nil, false
@@ -424,7 +430,7 @@ func (ev *evaluator) bindFor(ecsKey, archKey string, present bitset.Set, present
 	var replay *bindOutcome
 	if ev.opts.MaxBindNodes == 0 {
 		for _, o := range m.feasible {
-			if o.present.SubsetOf(present) {
+			if o.present.SubsetOf(vs.present) {
 				replay = o
 				break
 			}
@@ -437,40 +443,33 @@ func (ev *evaluator) bindFor(ecsKey, archKey string, present bitset.Set, present
 		// Monotone dominance: the binding stays feasible when resources
 		// are only added. Verify anyway — Check is far cheaper than the
 		// solver — and fall back to a full solve if it ever disagrees.
-		if bind.Check(ev.s, fp, av, replay.binding, bopts) == nil {
+		if ps.inst.Check(vs.view, replay.assign, bopts) == nil {
 			ev.bindReplayHits.Add(1)
-			out := &bindOutcome{present: present, ok: true, binding: replay.binding}
+			out := &bindOutcome{present: vs.present, ok: true, assign: replay.assign}
 			m.mu.Lock()
-			m.exact[presentKey] = out
+			m.exact[vs] = out
 			m.mu.Unlock()
-			return replay.binding.Clone(), true
+			return replay.assign, true
 		}
 	}
 
 	ev.bindMisses.Add(1)
 	stats.BindingRuns++
-	res, ok := bind.Find(ev.s, fp, av, bopts)
-	stats.BindingNodes += res.Nodes
-	out := &bindOutcome{present: present, ok: ok}
-	if ok {
-		// Store a private copy: the solver's map goes to the caller's
-		// Behaviour, the memo keeps its own.
-		out.binding = res.Binding.Clone()
-	} else {
-		out.proof = !res.Truncated
+	sol, ok := ps.inst.Solve(vs.view, bopts)
+	stats.BindingNodes += sol.Nodes
+	out := &bindOutcome{present: vs.present, ok: ok, assign: sol.Assign}
+	if !ok {
+		out.proof = !sol.Truncated
 	}
 	m.mu.Lock()
-	m.exact[presentKey] = out
+	m.exact[vs] = out
 	if ok {
 		m.feasible = append(m.feasible, out)
 	} else if out.proof {
 		m.infeasible = append(m.infeasible, out)
 	}
 	m.mu.Unlock()
-	if ok {
-		return res.Binding, true
-	}
-	return nil, false
+	return sol.Assign, ok
 }
 
 // shardMap is a mutex-striped string-keyed map shared by the parallel

@@ -179,3 +179,25 @@ func BenchmarkExploreMultiTri(b *testing.B) {
 		}
 	}
 }
+
+// TestMeanLatencyObjectiveBitIdentical: the mean-latency objective sums
+// fractional latencies; two runs must give bit-identical objective
+// vectors, so ties pick the same fronts.
+func TestMeanLatencyObjectiveBitIdentical(t *testing.T) {
+	objs := []Objective{CostObjective(), InvFlexibilityObjective(), MeanLatencyObjective()}
+	for seed := int64(1); seed <= 10; seed++ {
+		s := models.Synthetic(models.ScaledSynthetic(seed, 12))
+		first := ExploreMulti(s, Options{}, objs)
+		again := ExploreMulti(s, Options{}, objs)
+		if len(first.Objectives) != len(again.Objectives) {
+			t.Fatalf("seed %d: front sizes %d vs %d", seed, len(first.Objectives), len(again.Objectives))
+		}
+		for i, vec := range first.Objectives {
+			for k, x := range vec {
+				if y := again.Objectives[i][k]; math.Float64bits(x) != math.Float64bits(y) {
+					t.Fatalf("seed %d: row %d %s = %v then %v", seed, i, first.Names[k], x, y)
+				}
+			}
+		}
+	}
+}
